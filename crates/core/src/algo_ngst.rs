@@ -270,7 +270,7 @@ impl<T: BitPixel> SeriesPreprocessor<T> for AlgoNgst {
     }
 
     /// Infallible wrapper over the kernel-dispatching entry point, with
-    /// `sweep.plane_pass` / `sweep.combine` spans landing in `obs`.
+    /// the kernel's spans (`sweep.*` or `bitslice.*`) landing in `obs`.
     fn preprocess_exec(
         &self,
         series: &mut [T],

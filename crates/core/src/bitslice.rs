@@ -611,7 +611,7 @@ fn group_impl<T: BitPixel, const VEC: bool>(
     //    time-major batch layout makes each 64-lane read one contiguous
     //    row.
     {
-        let _span = obs.span("sweep.transpose");
+        let _span = obs.span("bitslice.transpose");
         bit_planes.clear();
         bit_planes.resize(abits * n, 0);
         let mut block = [0u64; 64];
@@ -627,7 +627,7 @@ fn group_impl<T: BitPixel, const VEC: bool>(
     let mut cutoff_exp = [[0u8; 64]; MAX_WAYS];
     let mut changed = 0usize;
     {
-        let _span = obs.span("sweep.bitplane_combine");
+        let _span = obs.span("bitslice.combine");
         acc_all_bits.clear();
         acc_all_bits.resize(abits * n, u64::MAX);
         acc_one_bits.clear();
@@ -999,7 +999,7 @@ fn pass_impl<T: BitPixel>(
     //    over `bits` has a compile-time-constant trip count (T::BITS), so
     //    LLVM unrolls and vectorizes it for the active dispatch tier.
     {
-        let _span = obs.span("sweep.transpose");
+        let _span = obs.span("bitslice.transpose");
         bit_planes.clear();
         bit_planes.resize(bits * words, 0);
         let mut block = [0u64; 64];
@@ -1016,7 +1016,7 @@ fn pass_impl<T: BitPixel>(
     let mut cutoffs = [T::ZERO; MAX_WAYS];
     let mut changed = 0usize;
     {
-        let _span = obs.span("sweep.bitplane_combine");
+        let _span = obs.span("bitslice.combine");
         acc_all_bits.clear();
         acc_all_bits.resize(bits * words, u64::MAX);
         acc_one_bits.clear();

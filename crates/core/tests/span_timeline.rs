@@ -5,7 +5,7 @@
 //! Durations obviously vary run to run; the *golden* part is the stage
 //! sequence, the span count, and the JSON shape.
 
-use preflight_core::{AlgoNgst, ImageStack, Preprocessor, Sensitivity, Upsilon};
+use preflight_core::{AlgoNgst, ImageStack, Kernel, Preprocessor, Sensitivity, Upsilon};
 use preflight_obs::{Obs, TimelineRecorder};
 
 fn noisy_stack(w: usize, h: usize, frames: usize) -> ImageStack<u16> {
@@ -25,47 +25,48 @@ fn noisy_stack(w: usize, h: usize, frames: usize) -> ImageStack<u16> {
 
 #[test]
 fn sequential_run_closes_a_golden_span_sequence() {
-    let obs = Obs::new();
-    let recorder = TimelineRecorder::new();
-    obs.set_subscriber(Some(recorder.clone()));
-
     // 64×48 at the default 32-tile → a 2×2 grid: exactly 4 tile spans,
-    // all closing before the enclosing "preprocess" span.
+    // all closing before the enclosing "preprocess" span. Each kernel
+    // closes its two stage spans as a pair per unit of work (one voter
+    // round each on this workload): the sweep kernel per series (64·48),
+    // the batched bit-sliced kernel per 64-series group (two 32×32 and two
+    // 32×16 tiles → 16 + 16 + 8 + 8 = 48 groups), and the per-series
+    // bit-sliced entry of the naive driver per series (8·6 = 48).
+    const TILED: &[&str] = &["tile", "tile", "tile", "tile", "preprocess"];
+    const NAIVE: &[&str] = &["preprocess"];
+    const SWEEP: [&str; 2] = ["sweep.plane_pass", "sweep.combine"];
+    const BITSLICE: [&str; 2] = ["bitslice.transpose", "bitslice.combine"];
+    let cases = [
+        (Kernel::Sweep, false, (64, 48), TILED, SWEEP, 64 * 48),
+        (Kernel::Bitsliced, false, (64, 48), TILED, BITSLICE, 48),
+        (Kernel::Bitsliced, true, (8, 6), NAIVE, BITSLICE, 48),
+    ];
     let algo = AlgoNgst::new(Upsilon::FOUR, Sensitivity::new(80).unwrap());
-    let mut stack = noisy_stack(64, 48, 16);
-    Preprocessor::new(&algo).observer(&obs).run(&mut stack);
+    for (kernel, naive, (w, h), skeleton, pair, units) in cases {
+        let obs = Obs::new();
+        let recorder = TimelineRecorder::new();
+        obs.set_subscriber(Some(recorder.clone()));
+        let mut stack = noisy_stack(w, h, 16);
+        Preprocessor::new(&algo)
+            .kernel(kernel)
+            .naive(naive)
+            .observer(&obs)
+            .run(&mut stack);
 
-    let records = recorder.records();
-    let skeleton: Vec<&str> = records
-        .iter()
-        .map(|r| r.stage)
-        .filter(|s| !s.starts_with("sweep."))
-        .collect();
-    assert_eq!(
-        skeleton,
-        vec!["tile", "tile", "tile", "tile", "preprocess"],
-        "span close order is part of the observability contract"
-    );
-    // The default sweep kernel times both of its stages once per series
-    // (one round each on this workload), closing the plane pass before the
-    // combine of the same series.
-    let planes = records
-        .iter()
-        .filter(|r| r.stage == "sweep.plane_pass")
-        .count();
-    let combines = records
-        .iter()
-        .filter(|r| r.stage == "sweep.combine")
-        .count();
-    assert_eq!(planes, 64 * 48, "one plane pass per coordinate series");
-    assert_eq!(combines, 64 * 48, "one combine per coordinate series");
-    let sweep_pairs: Vec<&str> = records
-        .iter()
-        .map(|r| r.stage)
-        .filter(|s| s.starts_with("sweep."))
-        .collect();
-    for pair in sweep_pairs.chunks(2) {
-        assert_eq!(pair, ["sweep.plane_pass", "sweep.combine"]);
+        let label = format!("{kernel} naive={naive}");
+        let (stages, outer): (Vec<&str>, Vec<&str>) = recorder
+            .records()
+            .iter()
+            .map(|r| r.stage)
+            .partition(|s| pair.contains(s));
+        assert_eq!(
+            outer, skeleton,
+            "{label}: span close order is part of the observability contract"
+        );
+        assert_eq!(stages.len(), 2 * units, "{label}: one pair per unit");
+        for p in stages.chunks(2) {
+            assert_eq!(p, pair, "{label}: stages close in order");
+        }
     }
 }
 

@@ -8,7 +8,8 @@
 //! Identity is checked at two levels: the raw per-series kernel entry
 //! (`AlgoNgst::try_preprocess_kernel`, single- and multi-pass, GRT on/off)
 //! and the whole-stack [`Preprocessor`] drivers with the `kernel` knob.
-//! The deterministic grid additionally runs once per supported SIMD
+//! The deterministic grid, including fixed whole-stack shapes with
+//! partial 64-series groups, additionally runs once per supported SIMD
 //! dispatch tier, so the portable fallback and the AVX2/NEON
 //! re-instantiations are all proven against the oracle.
 
@@ -33,6 +34,25 @@ fn make_series<T: BitPixel>(len: usize, seed: u64, flip_pct: u64, base: u64) -> 
             let mut v = base + (bump() >> 59);
             if bump() % 100 < flip_pct {
                 v ^= 1 << (T::BITS - 2 - (bump() % 6) as u32);
+            }
+            T::from_u64(v)
+        })
+        .collect()
+}
+
+/// A variant of [`make_series`] whose flips land at *any* bit position,
+/// the LSB and the word's top bit included, so the grid also covers flips
+/// inside window C and at the top of window A.
+fn make_series_any_bit<T: BitPixel>(len: usize, seed: u64, flip_pct: u64, base: u64) -> Vec<T> {
+    let mut state = seed | 1;
+    (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let mut v = base + (state >> 59);
+            if state % 100 < flip_pct {
+                v ^= 1 << ((state >> 32) % u64::from(T::BITS));
             }
             T::from_u64(v)
         })
@@ -102,8 +122,42 @@ fn run_exhaustive_grid() {
                         assert_kernels_agree(&s16, &algo, &format!("u16 {label}"));
                         let s32: Vec<u32> = make_series(len, seed ^ 0xABCD, 8, 1_000_000);
                         assert_kernels_agree(&s32, &algo, &format!("u32 {label}"));
+                        let a16: Vec<u16> = make_series_any_bit(len, seed ^ 0x51, 18, 21_000);
+                        assert_kernels_agree(&a16, &algo, &format!("u16 any-bit {label}"));
+                        let a32: Vec<u32> = make_series_any_bit(len, seed ^ 0x52, 18, 4_000_000);
+                        assert_kernels_agree(&a32, &algo, &format!("u32 any-bit {label}"));
                     }
                 }
+            }
+        }
+    }
+    run_stack_cases();
+}
+
+/// Whole-stack identity through both `Preprocessor` drivers (tiled single
+/// thread and the pool) at fixed shapes: 13×9 and 130×3 tile into
+/// 64-series groups with partial remainders (117 = 64 + 53, 96 = 64 + 32,
+/// 6), and 64×48×17 into full groups of an odd series length.
+fn run_stack_cases() {
+    let algo = AlgoNgst::new(Upsilon::FOUR, Sensitivity::new(80).unwrap());
+    for (w, h, frames) in [(13usize, 9usize, 24usize), (64, 48, 17), (130, 3, 40)] {
+        let base: Vec<u16> = make_series_any_bit(w * h * frames, 42, 12, 30_000);
+        let mut st: ImageStack<u16> = ImageStack::new(w, h, frames);
+        st.as_mut_slice().copy_from_slice(&base);
+        let mut scalar = st.clone();
+        let want = Preprocessor::new(&algo)
+            .kernel(Kernel::Scalar)
+            .run(&mut scalar);
+        for kernel in [Kernel::Sweep, Kernel::Bitsliced] {
+            for threads in [1usize, 3] {
+                let mut out = st.clone();
+                let got = Preprocessor::new(&algo)
+                    .kernel(kernel)
+                    .threads(threads)
+                    .run(&mut out);
+                let label = format!("{kernel} threads={threads} {w}x{h}x{frames}");
+                assert_eq!(got, want, "changed counts diverge: {label}");
+                assert_eq!(out, scalar, "outputs diverge: {label}");
             }
         }
     }
