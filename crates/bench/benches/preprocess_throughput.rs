@@ -1,8 +1,8 @@
 //! Throughput of the three stack-preprocessing drivers — naive
 //! gather/scatter, cache-aware series-major tiling, and the data-parallel
 //! worker pool — on the 64×64×128 acceptance cube, for `u16` and `u32`
-//! pixels, under all three voter kernels (per-pixel `scalar`, the
-//! plane-sweep `sweep` and the SIMD-dispatched bit-sliced `bitsliced`).
+//! pixels, under both voter kernels (the per-pixel `scalar` oracle and the
+//! default SIMD-dispatched bit-sliced `bitsliced`).
 //! Thread counts beyond the machine's available
 //! parallelism are skipped rather than silently capped. Reported in
 //! samples/s (Criterion's element throughput); `repro perf` emits the
@@ -19,7 +19,7 @@ const WIDTH: usize = 64;
 const HEIGHT: usize = 64;
 const FRAMES: usize = 128;
 const THREADS: &[usize] = &[1, 2, 4, 8];
-const KERNELS: &[Kernel] = &[Kernel::Scalar, Kernel::Sweep, Kernel::Bitsliced];
+const KERNELS: &[Kernel] = &[Kernel::Scalar, Kernel::Bitsliced];
 
 fn bench_pixel_width<T: BitPixel>(c: &mut Criterion, label: &str, sample: impl Fn(u64) -> T) {
     let algo = perf_algo();
@@ -57,8 +57,8 @@ fn bench_pixel_width<T: BitPixel>(c: &mut Criterion, label: &str, sample: impl F
                 },
             );
         }
-        // The multi-pass regime, where the sweep kernel's shared
-        // difference planes amortize across repeated cutoff rebuilds.
+        // The multi-pass regime, where the bit-sliced kernel's per-group
+        // transpose amortizes across repeated cut-off rebuilds.
         let multi = perf_algo_passes(3);
         let multipass = Preprocessor::new(&multi).tile(DEFAULT_TILE).kernel(kernel);
         group.bench_function(format!("tiled-3pass/{k}").as_str(), |b| {

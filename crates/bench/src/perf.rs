@@ -4,11 +4,12 @@
 //! naive per-coordinate reference loop (`.naive(true)`), the cache-aware
 //! series-major tiled path and the data-parallel worker pool — over a
 //! synthetic NGST-like cube, in Mpix/s (million samples preprocessed per
-//! second of wall time). Each driver is timed under all three voter
-//! kernels ([`Kernel::Scalar`], the plane-sweep [`Kernel::Sweep`] and the
-//! bit-sliced [`Kernel::Bitsliced`]), and a multi-pass section times the
-//! tiled driver at `passes = 3`, where the shared difference planes and
-//! bit-plane transposes pay off most. All drivers run
+//! second of wall time). Each driver is timed under both voter kernels
+//! (the [`Kernel::Scalar`] oracle and the default bit-sliced
+//! [`Kernel::Bitsliced`]). A series-length section times the naive and
+//! tiled drivers at several frame counts, where the per-series fixed costs
+//! of the kernel show, and a multi-pass section times the tiled driver at
+//! `passes = 3`, where the bit-plane transposes pay off most. All drivers run
 //! with observability disabled (the default), so these numbers double as
 //! the zero-overhead guard for the instrumentation. The same workload
 //! feeds the `preprocess_throughput` Criterion bench; this module is the
@@ -22,7 +23,9 @@
 //! silently trade away correctness. The report header records the CPU
 //! feature tiers detected at run time and each bit-sliced row records the
 //! SIMD dispatch tier it actually executed under, so an artifact measured
-//! on one machine is never mistaken for another's.
+//! on one machine is never mistaken for another's. The tier is resolved
+//! (and, on x86-64, calibrated) before the first timed run, so no row pays
+//! for the one-shot calibration.
 
 use preflight_core::{
     available_threads, detected_tiers, dispatch_tier, AlgoNgst, BitPixel, ImageStack, Kernel,
@@ -30,6 +33,11 @@ use preflight_core::{
 };
 use std::fmt::Write as _;
 use std::time::Instant;
+
+/// Frame counts at which the naive and tiled drivers are timed (the
+/// series-length section): the short series the daemon serves up to the
+/// acceptance cube's 128.
+pub const SERIES_LENGTHS: [usize; 4] = [8, 16, 32, 128];
 
 /// Workload shape and repetition depth for one perf run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,6 +88,15 @@ impl PerfConfig {
         self.width * self.height * self.frames
     }
 
+    /// The series-length section's frame counts: [`SERIES_LENGTHS`] minus
+    /// `frames`, which the main section already times.
+    pub fn extra_lengths(&self) -> Vec<usize> {
+        SERIES_LENGTHS
+            .into_iter()
+            .filter(|&f| f != self.frames)
+            .collect()
+    }
+
     /// The thread counts that will actually be timed on this machine.
     pub fn effective_thread_counts(&self) -> Vec<usize> {
         let cap = available_threads();
@@ -87,12 +104,13 @@ impl PerfConfig {
     }
 }
 
-/// One timed driver × kernel × pixel-width × thread-count cell.
+/// One timed driver × kernel × pixel-width × series-length × thread-count
+/// cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfRow {
     /// Driver name: `naive`, `tiled` or `parallel`.
     pub driver: &'static str,
-    /// Voter kernel: `scalar`, `sweep` or `bitsliced`.
+    /// Voter kernel: `scalar` or `bitsliced`.
     pub kernel: &'static str,
     /// SIMD dispatch tier the row executed under: the resolved tier name
     /// (`portable`, `avx2`, `neon`) for bit-sliced rows, `-` for the
@@ -100,6 +118,8 @@ pub struct PerfRow {
     pub dispatch_tier: &'static str,
     /// Pixel width in bits (16 or 32).
     pub pixel_bits: u32,
+    /// Temporal frames per coordinate (the series length).
+    pub frames: usize,
     /// Voter passes per run (1 for the single-pass section).
     pub passes: usize,
     /// Worker threads that actually ran (1 for the sequential drivers;
@@ -110,8 +130,8 @@ pub struct PerfRow {
     /// Million samples preprocessed per second of wall time.
     pub mpix_per_s: f64,
     /// Speedup over the section's scalar reference at the same pixel
-    /// width (naive/scalar for the single-pass section, tiled/scalar for
-    /// the multi-pass section).
+    /// width and series length (naive/scalar for the single-pass
+    /// sections, tiled/scalar for the multi-pass section).
     pub speedup: f64,
 }
 
@@ -192,17 +212,16 @@ pub fn perf_algo_passes(passes: usize) -> AlgoNgst {
 pub fn kernel_label(kernel: Kernel) -> &'static str {
     match kernel {
         Kernel::Scalar => "scalar",
-        Kernel::Sweep => "sweep",
         Kernel::Bitsliced => "bitsliced",
     }
 }
 
 /// The dispatch-tier cell for a row: the resolved SIMD tier for the
-/// bit-sliced kernel, `-` for the value-domain kernels.
+/// bit-sliced kernel, `-` for the scalar oracle.
 pub fn tier_label(kernel: Kernel) -> &'static str {
     match kernel {
         Kernel::Bitsliced => dispatch_tier().name(),
-        _ => "-",
+        Kernel::Scalar => "-",
     }
 }
 
@@ -229,145 +248,146 @@ fn best_secs<T: BitPixel>(
     (best, output, changed)
 }
 
+/// Times the naive and tiled drivers under both kernels on `input`,
+/// checking every output against the naive/scalar reference, and returns
+/// the reference's output, changed count and time for further rows.
+fn single_pass_rows<T: BitPixel>(
+    algo: &AlgoNgst,
+    reps: usize,
+    input: &ImageStack<T>,
+    pixel_bits: u32,
+    rows: &mut Vec<PerfRow>,
+) -> (ImageStack<T>, usize, f64) {
+    let frames = input.frames();
+    let mpix = |secs: f64| input.as_slice().len() as f64 / secs / 1e6;
+    let reference = Preprocessor::new(algo).naive(true).kernel(Kernel::Scalar);
+    let (ref_secs, reference_out, want) = best_secs(reps, input, |s| reference.run(s));
+    let row = |driver, kernel, secs: f64| PerfRow {
+        driver,
+        kernel: kernel_label(kernel),
+        dispatch_tier: tier_label(kernel),
+        pixel_bits,
+        frames,
+        passes: 1,
+        threads: 1,
+        seconds: secs,
+        mpix_per_s: mpix(secs),
+        speedup: ref_secs / secs,
+    };
+    rows.push(row("naive", Kernel::Scalar, ref_secs));
+    let naive = Preprocessor::new(algo)
+        .naive(true)
+        .kernel(Kernel::Bitsliced);
+    let (secs, out, got) = best_secs(reps, input, |s| naive.run(s));
+    assert_eq!(
+        (got, &out),
+        (want, &reference_out),
+        "naive/bitsliced diverged at {frames} frames"
+    );
+    rows.push(row("naive", Kernel::Bitsliced, secs));
+    for kernel in [Kernel::Scalar, Kernel::Bitsliced] {
+        let tiled = Preprocessor::new(algo).tile(DEFAULT_TILE).kernel(kernel);
+        let (secs, out, got) = best_secs(reps, input, |s| tiled.run(s));
+        assert_eq!(
+            (got, &out),
+            (want, &reference_out),
+            "tiled/{kernel} diverged at {frames} frames"
+        );
+        rows.push(row("tiled", kernel, secs));
+    }
+    (reference_out, want, ref_secs)
+}
+
 fn run_pixel_width<T: BitPixel>(
     config: &PerfConfig,
     pixel_bits: u32,
-    sample: impl Fn(u64) -> T,
+    sample: impl Fn(u64) -> T + Copy,
     rows: &mut Vec<PerfRow>,
 ) {
     let algo = perf_algo();
     let input = synthetic_stack(config.width, config.height, config.frames, 0xA5A5, sample);
     let mpix = |secs: f64| config.samples() as f64 / secs / 1e6;
-    let thread_counts = config.effective_thread_counts();
+    let row = |driver, kernel, passes, threads, secs: f64, speedup| PerfRow {
+        driver,
+        kernel: kernel_label(kernel),
+        dispatch_tier: tier_label(kernel),
+        pixel_bits,
+        frames: config.frames,
+        passes,
+        threads,
+        seconds: secs,
+        mpix_per_s: mpix(secs),
+        speedup,
+    };
 
     // Single-pass section: every driver under both kernels, all checked
     // bit-identical against the naive/scalar reference.
-    let reference = Preprocessor::new(&algo).naive(true).kernel(Kernel::Scalar);
-    let (ref_secs, reference_out, want) = best_secs(config.reps, &input, |s| reference.run(s));
-    rows.push(PerfRow {
-        driver: "naive",
-        kernel: kernel_label(Kernel::Scalar),
-        dispatch_tier: tier_label(Kernel::Scalar),
-        pixel_bits,
-        passes: 1,
-        threads: 1,
-        seconds: ref_secs,
-        mpix_per_s: mpix(ref_secs),
-        speedup: 1.0,
-    });
-
-    for kernel in [Kernel::Scalar, Kernel::Sweep, Kernel::Bitsliced] {
-        let label = kernel_label(kernel);
-        if kernel != Kernel::Scalar {
-            let naive = Preprocessor::new(&algo).naive(true).kernel(kernel);
-            let (secs, out, got) = best_secs(config.reps, &input, |s| naive.run(s));
-            assert_eq!(
-                (got, &out),
-                (want, &reference_out),
-                "naive/{label} diverged"
-            );
-            rows.push(PerfRow {
-                driver: "naive",
-                kernel: label,
-                dispatch_tier: tier_label(kernel),
-                pixel_bits,
-                passes: 1,
-                threads: 1,
-                seconds: secs,
-                mpix_per_s: mpix(secs),
-                speedup: ref_secs / secs,
-            });
-        }
-
-        let tiled = Preprocessor::new(&algo).tile(DEFAULT_TILE).kernel(kernel);
-        let (secs, out, got) = best_secs(config.reps, &input, |s| tiled.run(s));
-        assert_eq!(
-            (got, &out),
-            (want, &reference_out),
-            "tiled/{label} diverged"
-        );
-        rows.push(PerfRow {
-            driver: "tiled",
-            kernel: label,
-            dispatch_tier: tier_label(kernel),
-            pixel_bits,
-            passes: 1,
-            threads: 1,
-            seconds: secs,
-            mpix_per_s: mpix(secs),
-            speedup: ref_secs / secs,
-        });
-
-        for &threads in &thread_counts {
+    let (reference_out, want, ref_secs) =
+        single_pass_rows(&algo, config.reps, &input, pixel_bits, rows);
+    for kernel in [Kernel::Scalar, Kernel::Bitsliced] {
+        for threads in config.effective_thread_counts() {
             let parallel = Preprocessor::new(&algo).threads(threads).kernel(kernel);
             let (secs, out, got) = best_secs(config.reps, &input, |s| parallel.run(s));
             assert_eq!(
                 (got, &out),
                 (want, &reference_out),
-                "parallel/{label} diverged at {threads} threads"
+                "parallel/{kernel} diverged at {threads} threads"
             );
-            rows.push(PerfRow {
-                driver: "parallel",
-                kernel: label,
-                dispatch_tier: tier_label(kernel),
-                pixel_bits,
-                passes: 1,
-                threads,
-                seconds: secs,
-                mpix_per_s: mpix(secs),
-                speedup: ref_secs / secs,
-            });
+            rows.push(row("parallel", kernel, 1, threads, secs, ref_secs / secs));
         }
     }
 
+    // Series-length section: the naive driver runs the per-series kernel
+    // entry and the tiled driver the 64-series group entry, so short
+    // series show each entry's fixed per-series (or per-group) costs.
+    for frames in config.extra_lengths() {
+        let input = synthetic_stack(config.width, config.height, frames, 0xA5A5, sample);
+        single_pass_rows(&algo, config.reps, &input, pixel_bits, rows);
+    }
+
     // Multi-pass section: the tiled driver at `passes` voter passes, its
-    // own scalar reference. This is where the sweep kernel's shared
-    // difference planes and the bit-sliced kernel's per-group transpose
-    // amortize across repeated cutoff rebuilds.
+    // own scalar reference. This is where the bit-sliced kernel's
+    // per-group transpose amortizes across repeated cut-off rebuilds.
     if config.multipass > 1 {
         let multi = perf_algo_passes(config.multipass);
         let scalar = Preprocessor::new(&multi)
             .tile(DEFAULT_TILE)
             .kernel(Kernel::Scalar);
         let (scalar_secs, scalar_out, scalar_n) = best_secs(config.reps, &input, |s| scalar.run(s));
-        rows.push(PerfRow {
-            driver: "tiled",
-            kernel: kernel_label(Kernel::Scalar),
-            dispatch_tier: tier_label(Kernel::Scalar),
-            pixel_bits,
-            passes: config.multipass,
-            threads: 1,
-            seconds: scalar_secs,
-            mpix_per_s: mpix(scalar_secs),
-            speedup: 1.0,
-        });
-
-        for kernel in [Kernel::Sweep, Kernel::Bitsliced] {
-            let label = kernel_label(kernel);
-            let timed = Preprocessor::new(&multi).tile(DEFAULT_TILE).kernel(kernel);
-            let (secs, out, got) = best_secs(config.reps, &input, |s| timed.run(s));
-            assert_eq!(
-                (got, &out),
-                (scalar_n, &scalar_out),
-                "multi-pass {label} diverged"
-            );
-            rows.push(PerfRow {
-                driver: "tiled",
-                kernel: label,
-                dispatch_tier: tier_label(kernel),
-                pixel_bits,
-                passes: config.multipass,
-                threads: 1,
-                seconds: secs,
-                mpix_per_s: mpix(secs),
-                speedup: scalar_secs / secs,
-            });
-        }
+        rows.push(row(
+            "tiled",
+            Kernel::Scalar,
+            config.multipass,
+            1,
+            scalar_secs,
+            1.0,
+        ));
+        let timed = Preprocessor::new(&multi)
+            .tile(DEFAULT_TILE)
+            .kernel(Kernel::Bitsliced);
+        let (secs, out, got) = best_secs(config.reps, &input, |s| timed.run(s));
+        assert_eq!(
+            (got, &out),
+            (scalar_n, &scalar_out),
+            "multi-pass bitsliced diverged"
+        );
+        rows.push(row(
+            "tiled",
+            Kernel::Bitsliced,
+            config.multipass,
+            1,
+            secs,
+            scalar_secs / secs,
+        ));
     }
 }
 
 /// Runs the full sweep: every driver × kernel, `u16` and `u32` pixels.
 pub fn preprocess_perf(config: &PerfConfig) -> PerfReport {
+    // Resolve the dispatch tier up front: on x86-64 the first call runs a
+    // one-shot calibration that would otherwise land in the first timed
+    // bit-sliced rep.
+    let resolved_tier = dispatch_tier().name();
     let cap = available_threads();
     let skipped_threads: Vec<usize> = config
         .threads
@@ -382,7 +402,7 @@ pub fn preprocess_perf(config: &PerfConfig) -> PerfReport {
         config: config.clone(),
         available_threads: cap,
         cpu_features: detected_tiers().into_iter().map(|t| t.name()).collect(),
-        resolved_tier: dispatch_tier().name(),
+        resolved_tier,
         skipped_threads,
         rows,
     }
@@ -394,12 +414,13 @@ impl PerfReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "preprocess throughput, {}x{}x{} cube ({} samples/pass), \
-             best of {} rep(s), {} hardware thread(s)",
+            "preprocess throughput, {}x{}x{} cube ({} samples/pass; naive and tiled \
+             also at {:?} frames), best of {} rep(s), {} hardware thread(s)",
             self.config.width,
             self.config.height,
             self.config.frames,
             self.config.samples(),
+            self.config.extra_lengths(),
             self.config.reps,
             self.available_threads
         );
@@ -418,17 +439,27 @@ impl PerfReport {
         }
         let _ = writeln!(
             out,
-            "{:<10} {:<10} {:<9} {:>6} {:>7} {:>8} {:>12} {:>10} {:>8}",
-            "driver", "kernel", "tier", "bits", "passes", "threads", "seconds", "Mpix/s", "speedup"
+            "{:<10} {:<10} {:<9} {:>6} {:>7} {:>7} {:>8} {:>12} {:>10} {:>8}",
+            "driver",
+            "kernel",
+            "tier",
+            "bits",
+            "frames",
+            "passes",
+            "threads",
+            "seconds",
+            "Mpix/s",
+            "speedup"
         );
         for r in &self.rows {
             let _ = writeln!(
                 out,
-                "{:<10} {:<10} {:<9} {:>6} {:>7} {:>8} {:>12.6} {:>10.2} {:>7.2}x",
+                "{:<10} {:<10} {:<9} {:>6} {:>7} {:>7} {:>8} {:>12.6} {:>10.2} {:>7.2}x",
                 r.driver,
                 r.kernel,
                 r.dispatch_tier,
                 r.pixel_bits,
+                r.frames,
                 r.passes,
                 r.threads,
                 r.seconds,
@@ -450,6 +481,8 @@ impl PerfReport {
             self.config.width, self.config.height, self.config.frames
         );
         let _ = writeln!(out, "  \"samples_per_pass\": {},", self.config.samples());
+        let lengths: Vec<String> = SERIES_LENGTHS.iter().map(|f| f.to_string()).collect();
+        let _ = writeln!(out, "  \"series_lengths\": [{}],", lengths.join(", "));
         let _ = writeln!(out, "  \"reps\": {},", self.config.reps);
         let _ = writeln!(out, "  \"available_threads\": {},", self.available_threads);
         let features: Vec<String> = self
@@ -467,13 +500,14 @@ impl PerfReport {
             let _ = writeln!(
                 out,
                 "    {{\"driver\": \"{}\", \"kernel\": \"{}\", \"dispatch_tier\": \"{}\", \
-                 \"pixel_bits\": {}, \
+                 \"pixel_bits\": {}, \"frames\": {}, \
                  \"passes\": {}, \"threads\": {}, \"seconds\": {:.6}, \
                  \"mpix_per_s\": {:.3}, \"speedup\": {:.3}}}{comma}",
                 r.driver,
                 r.kernel,
                 r.dispatch_tier,
                 r.pixel_bits,
+                r.frames,
                 r.passes,
                 r.threads,
                 r.seconds,
@@ -494,11 +528,12 @@ mod tests {
     fn quick_sweep_produces_sane_rows() {
         let config = PerfConfig::quick();
         let report = preprocess_perf(&config);
-        // Per pixel width: naive (scalar ref + sweep + bitsliced) + tiled
-        // × 3 kernels + parallel × 3 kernels × effective thread counts +
-        // the 3 multi-pass tiled rows.
+        // Per pixel width: naive + tiled × 2 kernels at every series
+        // length, parallel × 2 kernels × effective thread counts at the
+        // main length, and the 2 multi-pass tiled rows.
         let t = config.effective_thread_counts().len();
-        assert_eq!(report.rows.len(), 2 * (3 + 3 + 3 * t + 3));
+        let lengths = 1 + config.extra_lengths().len();
+        assert_eq!(report.rows.len(), 2 * (4 * lengths + 2 * t + 2));
         assert!(report.rows.iter().all(|r| r.mpix_per_s > 0.0));
         assert!(report.rows.iter().all(|r| r.seconds > 0.0));
         // Bit-sliced rows carry the tier they executed under; the
@@ -523,7 +558,20 @@ mod tests {
             .iter()
             .filter(|r| r.driver == "naive" && r.kernel == "scalar")
             .all(|r| r.speedup == 1.0));
-        assert!(report.rows.iter().any(|r| r.kernel == "sweep"));
+        assert!(report
+            .rows
+            .iter()
+            .all(|r| r.kernel == "scalar" || r.kernel == "bitsliced"));
+        for frames in SERIES_LENGTHS {
+            for driver in ["naive", "tiled"] {
+                assert!(
+                    report.rows.iter().any(|r| r.driver == driver
+                        && r.kernel == "bitsliced"
+                        && r.frames == frames),
+                    "{driver}/bitsliced row at {frames} frames"
+                );
+            }
+        }
         assert!(report.rows.iter().any(|r| r.passes == config.multipass));
     }
 
@@ -551,8 +599,10 @@ mod tests {
         assert!(json.ends_with("}\n"));
         assert_eq!(json.matches("\"driver\"").count(), report.rows.len());
         assert!(json.contains("\"benchmark\": \"preprocess_throughput\""));
-        assert!(json.contains("\"kernel\": \"sweep\""));
+        assert!(json.contains("\"kernel\": \"scalar\""));
         assert!(json.contains("\"kernel\": \"bitsliced\""));
+        assert!(json.contains("\"series_lengths\": [8, 16, 32, 128]"));
+        assert!(json.contains("\"frames\": 8,"));
         assert!(json.contains("\"cpu_features\": [\"portable\""));
         assert!(json.contains("\"dispatch_tier\""));
         // Balanced braces and brackets (flat document, no strings with

@@ -10,14 +10,15 @@
 //! is directly comparable against `BENCH_serve.json`. The scriptable
 //! output lands in `BENCH_router.json`.
 
-use crate::perf::{kernel_label, sample_u16, synthetic_stack, tier_label};
+use crate::perf::{kernel_label, tier_label};
+use crate::serve::{drive_client, prebuild};
+use preflight_core::Kernel;
 use preflight_router::pool::BackendAddr;
 use preflight_router::server::{start as start_router, RouterConfig};
 use preflight_serve::server::ServerConfig;
-use preflight_serve::wire::FramePayload;
-use preflight_serve::{ClientBuilder, ClientError, ServerBuilder, SubmitOptions};
+use preflight_serve::{ClientBuilder, ServerBuilder};
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Workload shape for one routed benchmark run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,7 +109,7 @@ pub struct RouteReport {
     pub replicated: u64,
     /// Replica replies that failed the bit-identity cross-check.
     pub divergences: u64,
-    /// Voter kernel the backend engines ran (`scalar`, `sweep` or
+    /// Voter kernel the backend engines ran (always the default,
     /// `bitsliced`), matching the `BENCH_preprocess.json` row schema.
     pub kernel: &'static str,
     /// Resolved SIMD dispatch tier for bit-sliced engines, `-` otherwise.
@@ -130,7 +131,6 @@ fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
 /// Panics if the fleet cannot start or a client loses its connection —
 /// both are harness failures, not measurements.
 pub fn route_loadgen(config: &RouteConfig) -> RouteReport {
-    let engine_kernel = ServerConfig::default().engine.kernel;
     let backends: Vec<_> = (0..config.backends)
         .map(|_| {
             ServerBuilder::from(ServerConfig {
@@ -154,51 +154,30 @@ pub fn route_loadgen(config: &RouteConfig) -> RouteReport {
     .expect("router start");
     let addr = router.tcp_addr().expect("router bound");
 
+    const SALT: u64 = 0x707E;
+    let shape = (config.width, config.height, config.frames);
+    let prebuilt = prebuild(SALT, shape, config.clients, config.requests_per_client);
     let started = Instant::now();
     let mut workers = Vec::new();
-    for c in 0..config.clients {
-        let config = config.clone();
+    for (c, payloads) in prebuilt.into_iter().enumerate() {
         workers.push(std::thread::spawn(move || {
             let mut client = ClientBuilder::new()
                 .tcp(addr)
                 .connect()
                 .expect("client connect");
-            let mut latencies_ms = Vec::with_capacity(config.requests_per_client);
-            let mut busy: u64 = 0;
-            for r in 0..config.requests_per_client {
-                let seed = 0x707E ^ ((c as u64) << 32) ^ r as u64;
-                let stack =
-                    synthetic_stack(config.width, config.height, config.frames, seed, sample_u16);
-                let opts = SubmitOptions {
-                    stream_id: c as u64 + 1,
-                    eos: true,
-                    ..SubmitOptions::default()
-                };
-                let begin = Instant::now();
-                loop {
-                    match client.submit(FramePayload::U16(stack.clone()), &opts) {
-                        Ok(response) => {
-                            assert_eq!(
-                                response.payload.frames(),
-                                config.frames,
-                                "fleet must answer with the submitted depth"
-                            );
-                            assert!(
-                                response.stats.served_by > 0,
-                                "router must stamp the serving backend"
-                            );
-                            break;
-                        }
-                        Err(ClientError::Busy(_)) => {
-                            busy += 1;
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        Err(e) => panic!("client {c} request {r} failed: {e}"),
-                    }
-                }
-                latencies_ms.push(begin.elapsed().as_secs_f64() * 1e3);
-            }
-            (latencies_ms, busy)
+            drive_client(
+                &mut client,
+                SALT,
+                shape,
+                (c, c as u64 + 1),
+                payloads,
+                |response| {
+                    assert!(
+                        response.stats.served_by > 0,
+                        "router must stamp the serving backend"
+                    )
+                },
+            )
         }));
     }
 
@@ -238,8 +217,8 @@ pub fn route_loadgen(config: &RouteConfig) -> RouteReport {
         failovers,
         replicated,
         divergences,
-        kernel: kernel_label(engine_kernel),
-        dispatch_tier: tier_label(engine_kernel),
+        kernel: kernel_label(Kernel::default()),
+        dispatch_tier: tier_label(Kernel::default()),
     }
 }
 
@@ -376,8 +355,9 @@ mod tests {
         assert!(json.ends_with("}\n"));
         assert!(json.contains("\"benchmark\": \"router_throughput\""));
         // Kernel provenance matches the BENCH_preprocess.json row schema.
-        assert!(json.contains("\"kernel\": \"sweep\""));
-        assert!(json.contains("\"dispatch_tier\": \"-\""));
+        assert!(json.contains("\"kernel\": \"bitsliced\""));
+        let tier = preflight_core::dispatch_tier().name();
+        assert!(json.contains(&format!("\"dispatch_tier\": \"{tier}\"")));
         let count = |c| json.matches(c).count();
         assert_eq!(count('{'), count('}'));
     }

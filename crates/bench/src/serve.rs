@@ -9,9 +9,8 @@
 
 use crate::perf::{kernel_label, sample_u16, synthetic_stack, tier_label};
 use preflight_core::Kernel;
-use preflight_serve::server::ServerConfig;
-use preflight_serve::wire::FramePayload;
-use preflight_serve::{ClientBuilder, ClientError, ServerBuilder, SubmitOptions};
+use preflight_serve::wire::{FramePayload, SubmitResponse};
+use preflight_serve::{Client, ClientBuilder, ClientError, ServerBuilder, SubmitOptions};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -91,7 +90,7 @@ pub struct ServeReport {
     pub batches: u64,
     /// Batches that needed the degradation ladder.
     pub degraded_batches: u64,
-    /// Voter kernel the daemon's engine ran (`scalar`, `sweep` or
+    /// Voter kernel the daemon's engine ran (always the default,
     /// `bitsliced`), matching the `BENCH_preprocess.json` row schema.
     pub kernel: &'static str,
     /// Resolved SIMD dispatch tier for bit-sliced engines, `-` otherwise.
@@ -106,13 +105,80 @@ fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
     sorted_ms[idx]
 }
 
+/// The `(width, height, frames)` payload of client `c`'s request `r`,
+/// synthesized from a seed unique to the benchmark (`salt`), the client
+/// and the request.
+pub(crate) fn payload(salt: u64, shape: (usize, usize, usize), c: usize, r: usize) -> FramePayload {
+    let seed = salt ^ ((c as u64) << 32) ^ r as u64;
+    FramePayload::U16(synthetic_stack(shape.0, shape.1, shape.2, seed, sample_u16))
+}
+
+/// Every client's payloads, built before the clock starts so the timed
+/// region measures serving, not synthetic-noise generation or copies.
+pub(crate) fn prebuild(
+    salt: u64,
+    shape: (usize, usize, usize),
+    clients: usize,
+    requests: usize,
+) -> Vec<Vec<FramePayload>> {
+    (0..clients)
+        .map(|c| (0..requests).map(|r| payload(salt, shape, c, r)).collect())
+        .collect()
+}
+
+/// Submits client `c`'s prebuilt `payloads` in order on `client` as
+/// stream `stream_id`, each request timed from send to reply, and hands
+/// every response to `check`; returns the latencies (ms) and the number of
+/// `Busy` rejections. A payload is moved into its request, so a `Busy`
+/// retry (after a 1 ms pause) rebuilds it from its seed.
+pub(crate) fn drive_client(
+    client: &mut Client,
+    salt: u64,
+    shape: (usize, usize, usize),
+    (c, stream_id): (usize, u64),
+    payloads: Vec<FramePayload>,
+    check: impl Fn(&SubmitResponse),
+) -> (Vec<f64>, u64) {
+    let opts = SubmitOptions {
+        stream_id,
+        eos: true,
+        ..SubmitOptions::default()
+    };
+    let mut latencies_ms = Vec::with_capacity(payloads.len());
+    let mut busy: u64 = 0;
+    for (r, first) in payloads.into_iter().enumerate() {
+        let begin = Instant::now();
+        let mut next = first;
+        loop {
+            match client.submit(next, &opts) {
+                Ok(response) => {
+                    assert_eq!(
+                        response.payload.frames(),
+                        shape.2,
+                        "the server must answer with the submitted depth"
+                    );
+                    check(&response);
+                    break;
+                }
+                Err(ClientError::Busy(_)) => {
+                    busy += 1;
+                    std::thread::sleep(Duration::from_millis(1));
+                    next = payload(salt, shape, c, r);
+                }
+                Err(e) => panic!("client {c} request {r} failed: {e}"),
+            }
+        }
+        latencies_ms.push(begin.elapsed().as_secs_f64() * 1e3);
+    }
+    (latencies_ms, busy)
+}
+
 /// Runs the load generator against a fresh in-process daemon.
 ///
 /// # Panics
 /// Panics if the daemon cannot start or a client loses its connection —
 /// both are harness failures, not measurements.
 pub fn serve_loadgen(config: &ServeConfig) -> ServeReport {
-    let engine_kernel = ServerConfig::default().engine.kernel;
     let handle = ServerBuilder::new()
         .bind("127.0.0.1:0")
         .queue_depth(config.capacity)
@@ -120,47 +186,18 @@ pub fn serve_loadgen(config: &ServeConfig) -> ServeReport {
         .expect("daemon start");
     let addr = handle.tcp_addr().expect("bound address");
 
+    const SALT: u64 = 0x5EED;
+    let shape = (config.width, config.height, config.frames);
+    let prebuilt = prebuild(SALT, shape, config.clients, config.requests_per_client);
     let started = Instant::now();
     let mut workers = Vec::new();
-    for c in 0..config.clients {
-        let config = config.clone();
+    for (c, payloads) in prebuilt.into_iter().enumerate() {
         workers.push(std::thread::spawn(move || {
             let mut client = ClientBuilder::new()
                 .tcp(addr)
                 .connect()
                 .expect("client connect");
-            let mut latencies_ms = Vec::with_capacity(config.requests_per_client);
-            let mut busy: u64 = 0;
-            for r in 0..config.requests_per_client {
-                let seed = 0x5EED ^ ((c as u64) << 32) ^ r as u64;
-                let stack =
-                    synthetic_stack(config.width, config.height, config.frames, seed, sample_u16);
-                let opts = SubmitOptions {
-                    stream_id: c as u64,
-                    eos: true,
-                    ..SubmitOptions::default()
-                };
-                let begin = Instant::now();
-                loop {
-                    match client.submit(FramePayload::U16(stack.clone()), &opts) {
-                        Ok(response) => {
-                            assert_eq!(
-                                response.payload.frames(),
-                                config.frames,
-                                "daemon must answer with the submitted depth"
-                            );
-                            break;
-                        }
-                        Err(ClientError::Busy(_)) => {
-                            busy += 1;
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        Err(e) => panic!("client {c} request {r} failed: {e}"),
-                    }
-                }
-                latencies_ms.push(begin.elapsed().as_secs_f64() * 1e3);
-            }
-            (latencies_ms, busy)
+            drive_client(&mut client, SALT, shape, (c, c as u64), payloads, |_| {})
         }));
     }
 
@@ -191,8 +228,8 @@ pub fn serve_loadgen(config: &ServeConfig) -> ServeReport {
         busy_retries,
         batches,
         degraded_batches,
-        kernel: kernel_label(engine_kernel),
-        dispatch_tier: tier_label(engine_kernel),
+        kernel: kernel_label(Kernel::default()),
+        dispatch_tier: tier_label(Kernel::default()),
     }
 }
 
@@ -504,47 +541,22 @@ pub fn conn_sweep(config: &ConnSweepConfig) -> ConnSweepReport {
         }
         let open_held = idle.len();
 
+        const SALT: u64 = 0x0CEA;
+        let shape = (config.width, config.height, config.frames);
+        let prebuilt = prebuild(
+            SALT,
+            shape,
+            config.active_clients,
+            config.requests_per_client,
+        );
         let mut workers = Vec::new();
-        for c in 0..config.active_clients {
-            let config = config.clone();
+        for (c, payloads) in prebuilt.into_iter().enumerate() {
             workers.push(std::thread::spawn(move || {
                 let mut client = ClientBuilder::new()
                     .tcp(addr)
                     .connect()
                     .expect("active client connect");
-                let mut latencies_ms = Vec::with_capacity(config.requests_per_client);
-                let mut busy: u64 = 0;
-                for r in 0..config.requests_per_client {
-                    let seed = 0x0CEA ^ ((c as u64) << 32) ^ r as u64;
-                    let stack = synthetic_stack(
-                        config.width,
-                        config.height,
-                        config.frames,
-                        seed,
-                        sample_u16,
-                    );
-                    let opts = SubmitOptions {
-                        stream_id: c as u64,
-                        eos: true,
-                        ..SubmitOptions::default()
-                    };
-                    let begin = Instant::now();
-                    loop {
-                        match client.submit(FramePayload::U16(stack.clone()), &opts) {
-                            Ok(response) => {
-                                assert_eq!(response.payload.frames(), config.frames);
-                                break;
-                            }
-                            Err(ClientError::Busy(_)) => {
-                                busy += 1;
-                                std::thread::sleep(Duration::from_millis(1));
-                            }
-                            Err(e) => panic!("active client {c} request {r} failed: {e}"),
-                        }
-                    }
-                    latencies_ms.push(begin.elapsed().as_secs_f64() * 1e3);
-                }
-                (latencies_ms, busy)
+                drive_client(&mut client, SALT, shape, (c, c as u64), payloads, |_| {})
             }));
         }
 
@@ -659,11 +671,6 @@ pub struct ActiveSweepConfig {
     pub requests_per_client: usize,
     /// Daemon queue capacity (in-flight requests before `Busy`).
     pub capacity: usize,
-    /// Voter kernel the daemon's engine runs. The standard sweep uses the
-    /// fastest kernel so the measurement saturates the *data plane*, not
-    /// the voter — with a slow kernel every shard/copy improvement hides
-    /// behind engine time.
-    pub kernel: Kernel,
 }
 
 impl ActiveSweepConfig {
@@ -676,7 +683,6 @@ impl ActiveSweepConfig {
             shard_levels: vec![1, 2, 4],
             requests_per_client: 16,
             capacity: 16,
-            kernel: Kernel::Bitsliced,
         }
     }
 
@@ -688,7 +694,6 @@ impl ActiveSweepConfig {
             shard_levels: vec![1, 2],
             requests_per_client: 4,
             capacity: 8,
-            kernel: Kernel::Sweep,
         }
     }
 }
@@ -741,59 +746,22 @@ pub fn active_sweep(config: &ActiveSweepConfig) -> ActiveSweepReport {
                     .bind("127.0.0.1:0")
                     .queue_depth(config.capacity)
                     .shards(shards)
-                    .kernel(config.kernel)
                     .serve()
                     .expect("daemon start");
                 let addr = handle.tcp_addr().expect("bound address");
 
-                // Payloads are built before the clock starts: the sweep
-                // measures the serving data plane, not synthetic-noise
-                // generation.
-                let prebuilt: Vec<Vec<_>> = (0..clients)
-                    .map(|c| {
-                        (0..config.requests_per_client)
-                            .map(|r| {
-                                let seed = 0xAC71 ^ ((c as u64) << 32) ^ r as u64;
-                                synthetic_stack(width, height, frames, seed, sample_u16)
-                            })
-                            .collect()
-                    })
-                    .collect();
-
+                const SALT: u64 = 0xAC71;
+                let shape = (width, height, frames);
+                let prebuilt = prebuild(SALT, shape, clients, config.requests_per_client);
                 let started = Instant::now();
                 let mut workers = Vec::new();
-                for (c, stacks) in prebuilt.into_iter().enumerate() {
-                    let requests = config.requests_per_client;
+                for (c, payloads) in prebuilt.into_iter().enumerate() {
                     workers.push(std::thread::spawn(move || {
                         let mut client = ClientBuilder::new()
                             .tcp(addr)
                             .connect()
                             .expect("client connect");
-                        let mut latencies_ms = Vec::with_capacity(requests);
-                        let mut busy: u64 = 0;
-                        for (r, stack) in stacks.into_iter().enumerate() {
-                            let opts = SubmitOptions {
-                                stream_id: c as u64,
-                                eos: true,
-                                ..SubmitOptions::default()
-                            };
-                            let begin = Instant::now();
-                            loop {
-                                match client.submit(FramePayload::U16(stack.clone()), &opts) {
-                                    Ok(response) => {
-                                        assert_eq!(response.payload.frames(), frames);
-                                        break;
-                                    }
-                                    Err(ClientError::Busy(_)) => {
-                                        busy += 1;
-                                        std::thread::sleep(Duration::from_millis(1));
-                                    }
-                                    Err(e) => panic!("client {c} request {r} failed: {e}"),
-                                }
-                            }
-                            latencies_ms.push(begin.elapsed().as_secs_f64() * 1e3);
-                        }
-                        (latencies_ms, busy)
+                        drive_client(&mut client, SALT, shape, (c, c as u64), payloads, |_| {})
                     }));
                 }
 
@@ -839,7 +807,7 @@ impl ActiveSweepReport {
             "active-throughput sweep, {} request(s) per client, queue capacity {}, kernel {}",
             self.config.requests_per_client,
             self.config.capacity,
-            kernel_label(self.config.kernel)
+            kernel_label(Kernel::default())
         );
         let _ = writeln!(
             out,
@@ -877,7 +845,7 @@ impl ActiveSweepReport {
                 row.frames,
                 row.clients,
                 row.shards,
-                kernel_label(self.config.kernel),
+                kernel_label(Kernel::default()),
                 row.mpix_per_s,
                 row.p50_ms,
                 row.p99_ms,
@@ -937,8 +905,9 @@ mod tests {
         assert!(json.ends_with("}\n"));
         assert!(json.contains("\"benchmark\": \"serve_throughput\""));
         // Kernel provenance matches the BENCH_preprocess.json row schema.
-        assert!(json.contains("\"kernel\": \"sweep\""));
-        assert!(json.contains("\"dispatch_tier\": \"-\""));
+        assert!(json.contains("\"kernel\": \"bitsliced\""));
+        let tier = preflight_core::dispatch_tier().name();
+        assert!(json.contains(&format!("\"dispatch_tier\": \"{tier}\"")));
         let count = |c| json.matches(c).count();
         assert_eq!(count('{'), count('}'));
     }

@@ -87,7 +87,7 @@ pub fn print_usage() {
          \x20 gen        --out FILE [--width N] [--height N] [--frames N] [--sigma S] [--seed S]\n\
          \x20 inject     --in FILE --out FILE --gamma0 P [--correlated] [--seed S]\n\
          \x20 preprocess --in FILE --out FILE [--lambda L] [--upsilon U] [--threads N]\n\
-         \x20            [--kernel sweep|scalar|bitsliced] [--trace-json FILE] [--auto-tune]\n\
+         \x20            [--kernel bitsliced|scalar] [--trace-json FILE] [--auto-tune]\n\
          \x20 check      --in FILE\n\
          \x20 protect    --in FILE --out FILE\n\
          \x20 tune       --in FILE --gamma0 P\n\
@@ -100,7 +100,7 @@ pub fn print_usage() {
          \x20            [--chaos P] [--max-retries N] [--stage-timeout-ms MS] [--degrade]\n\
          \x20 serve      [--tcp ADDR] [--unix PATH] [--capacity N] [--max-conns N]\n\
          \x20            [--batch-frames N] [--batch-delay-ms MS] [--threads N] [--workers N]\n\
-         \x20            [--kernel sweep|scalar|bitsliced] [--metrics-addr ADDR] [--auto-tune]\n\
+         \x20            [--metrics-addr ADDR] [--auto-tune]\n\
          \x20 route      --backends LIST [--backend SPEC] [--tcp ADDR] [--unix PATH]\n\
          \x20            [--replicate] [--capacity N] [--max-conns N] [--vnodes N]\n\
          \x20            [--heavy-cost N] [--health-ms MS] [--metrics-addr ADDR]\n\
@@ -634,10 +634,19 @@ fn connect_daemon(opts: &Opts) -> Result<preflight_serve::Client, CliError> {
 }
 
 /// `serve`: run a `preflightd` daemon in the foreground until a wire-level
-/// drain (or SIGTERM/SIGINT) stops it.
+/// drain (or SIGTERM/SIGINT) stops it. The daemon always runs the
+/// bit-sliced kernel, so `--kernel` is refused rather than ignored.
 fn cmd_serve(opts: &Opts) -> Result<String, CliError> {
     use preflight_serve::server::ServerConfig;
     use preflight_serve::ServerBuilder;
+
+    if opts.given("kernel") {
+        return Err(CliError::Usage(
+            "serve takes no --kernel: the daemon always runs the bit-sliced kernel \
+             (use `preprocess --kernel scalar` for the reference oracle)"
+                .to_owned(),
+        ));
+    }
 
     let mut config = ServerConfig {
         tcp: opts.get("tcp").cloned(),
@@ -668,7 +677,6 @@ fn cmd_serve(opts: &Opts) -> Result<String, CliError> {
     if opts.given("threads") {
         config.engine.threads = threads;
     }
-    config.engine.kernel = opts.kernel()?;
     config.engine_workers = opts.usize_or("workers", config.engine_workers)?;
     config.metrics_addr = opts.get("metrics-addr").cloned();
     config.auto_tune = opts.has("auto-tune");

@@ -191,10 +191,9 @@ impl Opts {
     }
 
     /// Reads `--kernel` and validates the voter-kernel name up front
-    /// (`sweep` — the default — `scalar`, or the SIMD-dispatched
-    /// `bitsliced`). Shared by `preprocess` and `serve`; all kernels are
-    /// bit-identical, so the knob is purely a scheduling/benchmarking
-    /// choice.
+    /// (`bitsliced` — the default — or the `scalar` reference oracle).
+    /// Used by `preprocess`; both kernels are bit-identical, so the knob
+    /// only selects the oracle for identity checks and benchmarks.
     ///
     /// # Errors
     /// [`CliError::Usage`] on an unknown kernel name.
@@ -293,23 +292,24 @@ mod tests {
     #[test]
     fn kernel_validation_is_shared() {
         use preflight::core::Kernel;
-        assert_eq!(parse(&[]).unwrap().kernel().unwrap(), Kernel::Sweep);
+        assert_eq!(parse(&[]).unwrap().kernel().unwrap(), Kernel::Bitsliced);
         assert_eq!(
             parse(&["--kernel", "scalar"]).unwrap().kernel().unwrap(),
             Kernel::Scalar
         );
         assert_eq!(
-            parse(&["--kernel", "sweep"]).unwrap().kernel().unwrap(),
-            Kernel::Sweep
-        );
-        assert_eq!(
             parse(&["--kernel", "bitsliced"]).unwrap().kernel().unwrap(),
             Kernel::Bitsliced
         );
-        assert!(matches!(
-            parse(&["--kernel", "vector"]).unwrap().kernel(),
-            Err(CliError::Usage(_))
-        ));
+        for gone in ["vector", "sweep"] {
+            assert!(
+                matches!(
+                    parse(&["--kernel", gone]).unwrap().kernel(),
+                    Err(CliError::Usage(_))
+                ),
+                "--kernel {gone} must be a usage error"
+            );
+        }
     }
 
     #[test]

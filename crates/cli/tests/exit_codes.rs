@@ -64,6 +64,19 @@ fn invalid_kernel_exits_2_with_a_message() {
 }
 
 #[test]
+fn serve_refuses_a_kernel_flag() {
+    // The daemon has no kernel knob; a valid kernel name is refused too,
+    // before any socket is bound.
+    let out = preflight(&["serve", "--tcp", "127.0.0.1:0", "--kernel", "bitsliced"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("always runs the bit-sliced kernel"),
+        "stderr was: {stderr}"
+    );
+}
+
+#[test]
 fn invalid_threads_exits_2_with_a_message() {
     let out = preflight(&["preprocess", "--in", "x", "--out", "y", "--threads", "0"]);
     assert_eq!(out.status.code(), Some(2));

@@ -8,12 +8,10 @@
 //! regions — the property that lets it beat the static baselines in Figures
 //! 2 and 4 of the paper.
 
-use crate::container::ImageStack;
 use crate::error::CoreError;
 use crate::pixel::BitPixel;
 use crate::sensitivity::{Sensitivity, Upsilon};
-use crate::sweep::{sweep_corrections, Kernel};
-use crate::traits::{BatchLayout, SeriesPreprocessor};
+use crate::traits::{BatchLayout, Kernel, SeriesPreprocessor};
 use crate::voter::{VoterMatrix, VoterScratch};
 use crate::window::BitWindows;
 use preflight_obs::Obs;
@@ -139,7 +137,7 @@ impl AlgoNgst {
     /// identical results, but the XOR-diff, plane and correction buffers are
     /// reused across series instead of reallocated, so a worker looping over
     /// a tile of series reaches a zero-alloc steady state. Runs the default
-    /// [`Kernel`] (the plane-sweep kernel).
+    /// [`Kernel`] (the bit-sliced kernel).
     ///
     /// # Errors
     /// Same contract as [`AlgoNgst::try_preprocess`].
@@ -153,7 +151,7 @@ impl AlgoNgst {
 
     /// [`AlgoNgst::try_preprocess_with`] with an explicit [`Kernel`]
     /// selection. Every kernel produces bit-identical results (property
-    /// tested in `tests/sweep_identical.rs`); the knob only chooses how the
+    /// tested in `tests/kernel_identical.rs`); the knob only chooses how the
     /// voter arithmetic is scheduled.
     ///
     /// # Errors
@@ -190,8 +188,6 @@ impl AlgoNgst {
 
     /// One analyze-and-repair round: build the voter matrix, compute every
     /// correction from the (round-local) original data, apply in a batch.
-    /// The cut-off estimation is shared; only the correction computation
-    /// dispatches on the kernel.
     fn one_pass<T: BitPixel>(
         &self,
         series: &mut [T],
@@ -220,21 +216,12 @@ impl AlgoNgst {
             scratch,
         )?;
         let windows = self.effective_windows(&vm);
-        match kernel {
-            Kernel::Bitsliced => unreachable!("handled above"),
-            Kernel::Sweep => {
-                sweep_corrections(&vm, series, windows, self.config.use_grt, scratch, obs);
-            }
-            Kernel::Scalar => {
-                let n = series.len();
-                let corrections = &mut scratch.corrections;
-                corrections.clear();
-                for i in 0..n {
-                    let (vect, aux) = vm.correction(series, i);
-                    let aux = if self.config.use_grt { aux } else { T::ZERO };
-                    corrections.push(windows.combine(vect, aux));
-                }
-            }
+        let corrections = &mut scratch.corrections;
+        corrections.clear();
+        for i in 0..series.len() {
+            let (vect, aux) = vm.correction(series, i);
+            let aux = if self.config.use_grt { aux } else { T::ZERO };
+            corrections.push(windows.combine(vect, aux));
         }
         let mut changed = 0;
         for (p, &c) in series.iter_mut().zip(scratch.corrections.iter()) {
@@ -270,7 +257,7 @@ impl<T: BitPixel> SeriesPreprocessor<T> for AlgoNgst {
     }
 
     /// Infallible wrapper over the kernel-dispatching entry point, with
-    /// the kernel's spans (`sweep.*` or `bitslice.*`) landing in `obs`.
+    /// the bit-sliced kernel's `bitslice.*` spans landing in `obs`.
     fn preprocess_exec(
         &self,
         series: &mut [T],
@@ -283,22 +270,22 @@ impl<T: BitPixel> SeriesPreprocessor<T> for AlgoNgst {
     }
 
     /// The bit-sliced group kernel wants the cheap-to-gather time-major
-    /// layout (it packs 64 *series* per word at each time step); everything
-    /// else keeps the natural series-major layout.
+    /// layout (it packs 64 *series* per word at each time step); the
+    /// scalar oracle keeps the natural series-major layout.
     fn batch_layout(&self, kernel: Kernel) -> BatchLayout {
         match kernel {
             Kernel::Bitsliced => BatchLayout::TimeMajor,
-            _ => BatchLayout::SeriesMajor,
+            Kernel::Scalar => BatchLayout::SeriesMajor,
         }
     }
 
     /// Batched entry: with [`Kernel::Bitsliced`] the whole time-major tile
     /// is handed to the lane-per-series kernel in groups of 64 series, so
-    /// every word operation advances 64 voters at once; other kernels fall
-    /// back to the per-series loop over the series-major layout. Layouts
-    /// follow [`batch_layout`](Self::batch_layout); results are
+    /// every word operation advances 64 voters at once; the scalar oracle
+    /// falls back to the per-series loop over the series-major layout.
+    /// Layouts follow [`batch_layout`](Self::batch_layout); results are
     /// bit-identical either way (property tested in
-    /// `tests/sweep_identical.rs`).
+    /// `tests/kernel_identical.rs`).
     fn preprocess_batch_exec(
         &self,
         buf: &mut [T],
@@ -310,7 +297,7 @@ impl<T: BitPixel> SeriesPreprocessor<T> for AlgoNgst {
         if frames == 0 {
             return 0;
         }
-        if kernel != Kernel::Bitsliced {
+        if kernel == Kernel::Scalar {
             return buf
                 .chunks_exact_mut(frames)
                 .map(|series| self.preprocess_exec(series, scratch, kernel, obs))
@@ -380,24 +367,6 @@ impl<T: BitPixel> SeriesPreprocessor<T> for AlgoNgst {
             None => self.preprocess_batch_exec(buf, frames, scratch, kernel, obs),
         }
     }
-}
-
-/// Applies a [`SeriesPreprocessor`] to the temporal series of every
-/// coordinate of an [`ImageStack`], returning the total number of modified
-/// samples. This is the slave-node work unit of the paper's Figure 1
-/// architecture (each 128×128 fragment is preprocessed coordinate-wise).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Preprocessor::new(algo).naive(true).run(stack)`"
-)]
-pub fn preprocess_stack<T, P>(algo: &P, stack: &mut ImageStack<T>) -> usize
-where
-    T: BitPixel,
-    P: SeriesPreprocessor<T> + Sync,
-{
-    crate::preprocessor::Preprocessor::new(algo)
-        .naive(true)
-        .run(stack)
 }
 
 /// Applies a [`SeriesPreprocessor`] *spatially* to a single 2-D frame: one
@@ -591,7 +560,7 @@ mod tests {
 
     #[test]
     fn stack_driver_corrects_every_coordinate() {
-        let mut stack: ImageStack<u16> = ImageStack::new(4, 3, 32);
+        let mut stack: crate::ImageStack<u16> = crate::ImageStack::new(4, 3, 32);
         // Fill each coordinate with a constant level, then flip one sample.
         for y in 0..3 {
             for x in 0..4 {

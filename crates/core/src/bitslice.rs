@@ -1,14 +1,19 @@
-//! The bit-sliced voter kernel ([`Kernel::Bitsliced`]): vote on 64 pixels
-//! per ALU op.
+//! The bit-sliced voter kernel ([`Kernel::Bitsliced`], the default): vote
+//! on 64 pixels per ALU op.
 //!
-//! The sweep kernel (PR 5) already restructured the voter into streaming
-//! passes, but it still spends one word-sized operation per *pixel*. Every
-//! step of Algorithm 1, however, is either pure bitwise logic (the φ
+//! The scalar gather ([`Kernel::Scalar`]) spends one word-sized operation
+//! per *pixel* and pairing. Every step of Algorithm 1, however, is either
+//! pure bitwise logic (the φ
 //! pruning masks, the `all`/`one` accumulator folds, the window A/B
 //! combine) or a comparison against a **power-of-two** cut-off — and all of
 //! those distribute over a bit-plane transposition. This module therefore
 //! runs the whole per-series pipeline in *bit-plane space*:
 //!
+//! 0. **Active bit width** — `abits`, the bit length of `OR(v ^ v₀)` over
+//!    the series, bounds every XOR difference and every |a−b|, so planes at
+//!    or above it never vote or receive a correction. Every plane loop and
+//!    buffer below spans `abits` planes instead of Λ; on a detector series
+//!    sitting on a large common pedestal that is often half the word.
 //! 1. **Transpose** — each 64-pixel block of the series is transposed into
 //!    Λ `u64` plane words (`plane[b]` bit `l` = bit `b` of pixel `l`) with
 //!    a packed-field butterfly network (`O(Λ·log Λ)` word ops per block
@@ -35,8 +40,8 @@
 //! Reflected boundary pairings (at most Υ/2 per way per end) are computed
 //! by the scalar [`prune`] rule and patched into the affected lanes, so the
 //! kernel is **bit-identical** to [`Kernel::Scalar`] for every Υ, Λ, dtype,
-//! series length and pass count (`tests/sweep_identical.rs` property-tests
-//! the full grid).
+//! series length and pass count (`tests/kernel_identical.rs`
+//! property-tests the full grid).
 //!
 //! # Runtime SIMD dispatch
 //!
@@ -53,12 +58,10 @@
 //!
 //! [`Kernel::Bitsliced`]: crate::Kernel::Bitsliced
 //! [`Kernel::Scalar`]: crate::Kernel::Scalar
-//! [`prune`]: crate::sweep
 
 use crate::error::CoreError;
 use crate::pixel::BitPixel;
 use crate::sensitivity::{Sensitivity, Upsilon};
-use crate::sweep::prune;
 use crate::voter::{derive_windows, VoterScratch, MAX_WAYS};
 use crate::window::BitWindows;
 use preflight_obs::Obs;
@@ -302,6 +305,18 @@ fn pass_neon<T: BitPixel>(
     obs: &Obs,
 ) -> usize {
     pass_impl(params, series, scratch, obs)
+}
+
+/// The pruned φ of one pairing: the XOR difference, or zero unless the pair
+/// is deviant in **both** the bit-incongruity and the arithmetic sense —
+/// the same dual rule as [`crate::VoterMatrix::correction`]. Used for the
+/// reflected boundary pairings the plane loops patch in lane by lane.
+#[inline]
+fn prune<T: BitPixel>(a: T, b: T, cutoff: u64) -> T {
+    let diff = a.xor(b).to_u64();
+    let arith = a.to_u64().abs_diff(b.to_u64());
+    let keep = u64::from(diff > cutoff) & u64::from(arith > cutoff);
+    T::from_u64(diff & keep.wrapping_neg())
 }
 
 /// Lane mask of the pixels in 64-pixel block `w` whose global index is
@@ -992,22 +1007,34 @@ fn pass_impl<T: BitPixel>(
         ..
     } = scratch;
 
+    // 0. Active bit width in the difference domain, as in the group
+    //    kernel: every pairwise XOR factors through the first sample
+    //    (`a ^ b = (a ^ r) ^ (b ^ r)`), so `abits`, the bit length of
+    //    `OR(v ^ r)`, bounds every XOR diff, every |a−b| and every borrow
+    //    and complement carry. Planes at or above `abits` never cast a
+    //    vote or receive a correction, so every plane loop and buffer
+    //    below spans `abits` planes instead of `T::BITS`.
+    let first = series[0];
+    let or_x = series
+        .iter()
+        .fold(0u64, |acc, v| acc | v.xor(first).to_u64());
+    let abits = (64 - or_x.leading_zeros()) as usize;
+    debug_assert!(abits <= bits);
+
     // 1. Transpose the series into bit planes, word-major: the block for
     //    pixels w*64 .. w*64+64 lives contiguously at
-    //    bit_planes[w * bits .. (w + 1) * bits], so all per-block work
-    //    below touches one or two cache-resident runs. Every inner loop
-    //    over `bits` has a compile-time-constant trip count (T::BITS), so
-    //    LLVM unrolls and vectorizes it for the active dispatch tier.
+    //    bit_planes[w * abits .. (w + 1) * abits], so all per-block work
+    //    below touches one or two cache-resident runs.
     {
         let _span = obs.span("bitslice.transpose");
         bit_planes.clear();
-        bit_planes.resize(bits * words, 0);
+        bit_planes.resize(abits * words, 0);
         let mut block = [0u64; 64];
         for w in 0..words {
             let base = w * 64;
             let end = n.min(base + 64);
             transpose_block(&series[base..end], &mut block);
-            bit_planes[w * bits..(w + 1) * bits].copy_from_slice(&block[..bits]);
+            bit_planes[w * abits..(w + 1) * abits].copy_from_slice(&block[..abits]);
         }
         *bitslice_transposes += 1;
     }
@@ -1018,70 +1045,78 @@ fn pass_impl<T: BitPixel>(
     {
         let _span = obs.span("bitslice.combine");
         acc_all_bits.clear();
-        acc_all_bits.resize(bits * words, u64::MAX);
+        acc_all_bits.resize(abits * words, u64::MAX);
         acc_one_bits.clear();
-        acc_one_bits.resize(bits * words, 0);
+        acc_one_bits.resize(abits * words, 0);
 
+        // Per-way stack buffers, hoisted out of the way loop. Only
+        // `le_counts` and `head_patch` accumulate and are cleared per way;
+        // the others are fully written before they are read.
+        let mut le_counts = [0u64; 64];
+        let mut x = [0u64; 64];
+        let mut gt_hi = [0u64; 64];
+        let mut head_patch = [0u64; 64];
+        let mut dabs = [0u64; 64];
+        let mut phi_bufs = [[0u64; 64]; 2];
         for d in 1..=half {
             let steady = n - d;
 
             // 2. Cut-off rank selection: V_val = 2^e for the smallest e
             // such that at least `rank` of the way's XOR diffs are <= 2^e.
             // ceil_pow2 is monotone, so this reproduces
-            // `select_nth_unstable` + `ceil_pow2` exactly (including the
-            // top-bit saturation when no e qualifies). One pass per block
-            // computes `le_counts[e]` for every e at once: diff > 2^e iff
-            // a higher bit is set, or bit e is set alongside a lower one —
-            // both ORs come from one suffix and one prefix scan over the
-            // block's planes, held entirely in stack registers.
-            let mut le_counts = [0u64; 64];
-            let mut x = [0u64; 64];
-            let mut gt_hi = [0u64; 64];
+            // `select_nth_unstable` + `ceil_pow2` exactly. One pass per
+            // block computes `le_counts[e]` for every e < abits at once:
+            // diff > 2^e iff a higher bit is set, or bit e is set alongside
+            // a lower one — both ORs come from one suffix and one prefix
+            // scan over the block's planes, held entirely in stack
+            // registers. Every diff is below 2^abits, so `le_counts[e]`
+            // for e >= abits is the whole way: the rank (at most the way
+            // size) is reached at e = abits at the latest, saturating at
+            // the top bit.
+            le_counts[..abits].fill(0);
             for w in 0..words {
-                let a_lo = &bit_planes[w * bits..(w + 1) * bits];
+                let a_lo = &bit_planes[w * abits..(w + 1) * abits];
                 let a_hi = if w + 1 < words {
-                    &bit_planes[(w + 1) * bits..(w + 2) * bits]
+                    &bit_planes[(w + 1) * abits..(w + 2) * abits]
                 } else {
-                    &ZERO_BLOCK[..bits]
+                    &ZERO_BLOCK[..abits]
                 };
                 let valid = lane_mask(steady, w);
                 if valid == 0 {
                     continue;
                 }
-                for b in 0..bits {
+                for b in 0..abits {
                     let a = a_lo[b];
                     x[b] = a ^ ((a >> d) | (a_hi[b] << (64 - d)));
                 }
                 let mut hi_or = 0u64;
-                for b in (0..bits).rev() {
+                for b in (0..abits).rev() {
                     gt_hi[b] = hi_or;
                     hi_or |= x[b];
                 }
                 let mut lo_or = 0u64;
-                for b in 0..bits {
+                for b in 0..abits {
                     let gt = gt_hi[b] | (x[b] & lo_or);
                     lo_or |= x[b];
                     le_counts[b] += u64::from((valid & !gt).count_ones());
                 }
             }
             let rank = params.sensitivity.cutoff_rank(n, steady) as u64;
-            let mut cutoff_e = bits - 1;
-            for (e, &cnt) in le_counts[..bits].iter().enumerate() {
-                if cnt >= rank {
-                    cutoff_e = e;
-                    break;
-                }
-            }
+            let cutoff_e = le_counts[..abits]
+                .iter()
+                .position(|&cnt| cnt >= rank)
+                .unwrap_or(abits)
+                .min(bits - 1);
             let cutoff = T::from_u64(1u64 << cutoff_e);
             cutoffs[d - 1] = cutoff;
             let cu64 = cutoff.to_u64();
 
             // Backward-fold head patch: lanes i < d of block 0 consume the
             // reflected pairing φ(i, d−i), stashed per plane bit.
-            let mut head_patch = [0u64; 64];
+            head_patch[..abits].fill(0);
             for i in 0..d {
                 let phi = prune(series[i], series[d - i], cu64).to_u64();
-                for (b, pat) in head_patch[..bits].iter_mut().enumerate() {
+                for (b, pat) in head_patch[..abits].iter_mut().enumerate() {
                     *pat |= (phi >> b & 1) << i;
                 }
             }
@@ -1092,15 +1127,14 @@ fn pass_impl<T: BitPixel>(
             // immediately and the backward fold of the *next* block picks
             // it up from `prev_phi` (lane i consumes φ of lane i−d; φ is
             // symmetric in its operands, so no backward plane ever
-            // materializes).
-            let mut dabs = [0u64; 64];
-            let mut phi_bufs = [[0u64; 64]; 2];
+            // materializes). Block 0 takes its first d backward lanes from
+            // the head patch, so the stale `prev_phi` it sees is masked.
             for w in 0..words {
-                let a_lo = &bit_planes[w * bits..(w + 1) * bits];
+                let a_lo = &bit_planes[w * abits..(w + 1) * abits];
                 let a_hi = if w + 1 < words {
-                    &bit_planes[(w + 1) * bits..(w + 2) * bits]
+                    &bit_planes[(w + 1) * abits..(w + 2) * abits]
                 } else {
-                    &ZERO_BLOCK[..bits]
+                    &ZERO_BLOCK[..abits]
                 };
                 // Double-buffer φ so the previous block's planes survive
                 // without a copy.
@@ -1116,9 +1150,10 @@ fn pass_impl<T: BitPixel>(
                 // XOR/arithmetic rule. The subtraction ripples a borrow
                 // across planes; the absolute value is a conditional two's
                 // complement; the comparison is branchless over the
-                // cut-off position.
+                // cut-off position. |a−b| < 2^abits, so the complement
+                // carry never leaves the active planes.
                 let mut borrow = 0u64;
-                for b in 0..bits {
+                for b in 0..abits {
                     let a = a_lo[b];
                     let xv = a ^ ((a >> d) | (a_hi[b] << (64 - d)));
                     x[b] = xv;
@@ -1130,7 +1165,7 @@ fn pass_impl<T: BitPixel>(
                 let mut lo_or = 0u64;
                 let mut hi_or = 0u64;
                 let mut mid = 0u64;
-                for (b, v) in dabs[..bits].iter_mut().enumerate() {
+                for (b, v) in dabs[..abits].iter_mut().enumerate() {
                     let y = *v ^ neg;
                     let r = y ^ carry;
                     carry &= y;
@@ -1141,7 +1176,7 @@ fn pass_impl<T: BitPixel>(
                     mid |= r & !(is_lo | is_hi);
                 }
                 let keep = hi_or | (mid & lo_or);
-                for b in 0..bits {
+                for b in 0..abits {
                     phi[b] = x[b] & keep;
                 }
                 // Reflected forward pairings at the series tail: recompute
@@ -1153,15 +1188,15 @@ fn pass_impl<T: BitPixel>(
                     let j = 2 * (n - 1) - (i + d);
                     let p = prune(series[i], series[j], cu64).to_u64();
                     let lane = 1u64 << (i - base);
-                    for (b, ph) in phi[..bits].iter_mut().enumerate() {
+                    for (b, ph) in phi[..abits].iter_mut().enumerate() {
                         *ph = (*ph & !lane) | ((p >> b & 1) * lane);
                     }
                 }
                 // Forward and backward folds into the accumulators:
                 // all' = all & p; one' = (one & p) | (all & !p).
-                let acc_all = &mut acc_all_bits[w * bits..(w + 1) * bits];
-                let acc_one = &mut acc_one_bits[w * bits..(w + 1) * bits];
-                for b in 0..bits {
+                let acc_all = &mut acc_all_bits[w * abits..(w + 1) * abits];
+                let acc_one = &mut acc_one_bits[w * abits..(w + 1) * abits];
+                for b in 0..abits {
                     let fwd = phi[b];
                     let mut bwd = (fwd << d) | (prev_phi[b] >> (64 - d));
                     if w == 0 {
@@ -1178,8 +1213,10 @@ fn pass_impl<T: BitPixel>(
         *voter_builds += 1;
         *window_derivations += 1;
 
-        // 5. Window combine and in-place repair, block by block. Blocks
-        // whose lanes carry no correction skip the back-transpose.
+        // 4. Window combine and in-place repair, block by block. Blocks
+        // whose lanes carry no correction skip the back-transpose. Planes
+        // at or above `abits` fold to zero after the first two voter
+        // planes, so they never carry a correction.
         let windows: BitWindows<T> = match params.static_windows {
             Some((a, c)) => BitWindows::from_widths(a, c),
             None => derive_windows(&cutoffs[..half], params.msb_margin),
@@ -1190,10 +1227,10 @@ fn pass_impl<T: BitPixel>(
         let mut corr = [0u64; 64];
         let mut out = [T::ZERO; 64];
         for w in 0..words {
-            let acc_all = &acc_all_bits[w * bits..(w + 1) * bits];
-            let acc_one = &acc_one_bits[w * bits..(w + 1) * bits];
+            let acc_all = &acc_all_bits[w * abits..(w + 1) * abits];
+            let acc_one = &acc_one_bits[w * abits..(w + 1) * abits];
             let mut nz = 0u64;
-            for b in 0..bits {
+            for b in 0..abits {
                 let all = acc_all[b];
                 let aux = if !params.use_grt {
                     0
@@ -1215,7 +1252,7 @@ fn pass_impl<T: BitPixel>(
                 continue;
             }
             changed += nz.count_ones() as usize;
-            corr[bits..].fill(0);
+            corr[abits..].fill(0);
             let base = w * 64;
             let end = n.min(base + 64);
             untranspose_block(&mut corr, &mut out[..end - base]);
@@ -1279,6 +1316,15 @@ mod tests {
             untranspose_block(&mut planes, &mut out);
             assert_eq!(out, pixels, "len={len}");
         }
+    }
+
+    #[test]
+    fn prune_matches_the_scalar_rule() {
+        // cutoff 4: XOR ≤ 4 or |a−b| ≤ 4 → pruned.
+        assert_eq!(prune(0u16, 4, 4), 0, "xor at the cut-off is pruned");
+        assert_eq!(prune(0x69FFu16, 0x6A00, 4), 0, "carry straddle is pruned");
+        assert_eq!(prune(0u16, 0x100, 4), 0x100, "gross outlier survives");
+        assert_eq!(prune(7u16, 7, 4), 0, "identical pair is pruned");
     }
 
     #[test]

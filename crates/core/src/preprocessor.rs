@@ -18,10 +18,8 @@
 //! assert_eq!(changed, 0); // an all-zero stack has nothing to repair
 //! ```
 //!
-//! The builder subsumes the PR 2 free-function drivers
-//! (`preprocess_stack`, `preprocess_stack_tiled`,
-//! `preprocess_stack_parallel`, `preprocess_cube_parallel`, now
-//! deprecated shims over it) and is the observability choke point: with
+//! The builder subsumes the earlier free-function drivers and is the
+//! observability choke point: with
 //! an [`Obs`] attached, every run emits `preprocess_*` counters (runs,
 //! series, tiles, repaired samples, voter builds, window derivations)
 //! and per-stage spans (`preprocess`, `tile`, `plane`) exactly once,
@@ -40,8 +38,7 @@
 
 use crate::container::{Cube, Image, ImageStack};
 use crate::pixel::BitPixel;
-use crate::sweep::Kernel;
-use crate::traits::{BatchLayout, PlanePreprocessor, SeriesPreprocessor};
+use crate::traits::{BatchLayout, Kernel, PlanePreprocessor, SeriesPreprocessor};
 use crate::tuning::{TuneDecision, Tuner};
 use crate::voter::VoterScratch;
 use crossbeam::channel;
@@ -115,7 +112,7 @@ pub struct Preprocessor<A> {
 
 impl<A> Preprocessor<A> {
     /// A sequential driver for `algo`: 1 thread, [`DEFAULT_TILE`] tiles,
-    /// the default (plane-sweep) kernel, observability disabled.
+    /// the default (bit-sliced) kernel, observability disabled.
     pub fn new(algo: A) -> Self {
         Preprocessor {
             algo,
@@ -163,7 +160,7 @@ impl<A> Preprocessor<A> {
     }
 
     /// Selects the voter-correction [`Kernel`] handed to the algorithm
-    /// ([`Kernel::Sweep`] by default). Output is bit-identical for every
+    /// ([`Kernel::Bitsliced`] by default). Output is bit-identical for every
     /// kernel; algorithms with a single code path ignore the knob.
     pub fn kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
@@ -198,12 +195,6 @@ impl<A> Preprocessor<A> {
         self.obs
             .counter("preprocess_window_derivations_total", None)
             .add(scratch.window_derivations());
-        self.obs
-            .counter("preprocess_sweep_plane_passes_total", None)
-            .add(scratch.sweep_plane_passes());
-        self.obs
-            .counter("preprocess_sweep_combines_total", None)
-            .add(scratch.sweep_combines());
         self.obs
             .counter("preprocess_bitslice_transposes_total", None)
             .add(scratch.bitslice_transposes());
@@ -384,10 +375,6 @@ impl<A> Preprocessor<A> {
                             .add(scratch.voter_builds());
                         obs.counter("preprocess_window_derivations_total", None)
                             .add(scratch.window_derivations());
-                        obs.counter("preprocess_sweep_plane_passes_total", None)
-                            .add(scratch.sweep_plane_passes());
-                        obs.counter("preprocess_sweep_combines_total", None)
-                            .add(scratch.sweep_combines());
                         obs.counter("preprocess_bitslice_transposes_total", None)
                             .add(scratch.bitslice_transposes());
                         obs.counter("preprocess_bitslice_combines_total", None)
@@ -660,14 +647,15 @@ mod tests {
             snap.counter("preprocess_window_derivations_total", None),
             Some(64 * 48)
         );
-        // The default sweep kernel runs one plane pass + combine per series.
+        // The default bit-sliced kernel runs one transpose + combine per
+        // 64-series group: 3072 series in full groups.
         assert_eq!(
-            snap.counter("preprocess_sweep_plane_passes_total", None),
-            Some(64 * 48)
+            snap.counter("preprocess_bitslice_transposes_total", None),
+            Some(48)
         );
         assert_eq!(
-            snap.counter("preprocess_sweep_combines_total", None),
-            Some(64 * 48)
+            snap.counter("preprocess_bitslice_combines_total", None),
+            Some(48)
         );
         // Spans landed in the stage histograms.
         let stages = snap

@@ -1,10 +1,52 @@
 //! Preprocessor traits shared by the dynamic algorithm and the baselines.
 
 use crate::container::Image;
-use crate::sweep::Kernel;
 use crate::tuning::TuneDecision;
 use crate::voter::VoterScratch;
 use preflight_obs::Obs;
+
+/// Selects the voter-correction kernel of [`crate::AlgoNgst`].
+///
+/// Both kernels produce bit-identical output; they differ only in how the
+/// work is scheduled. The bit-sliced kernel is the default everywhere
+/// ([`crate::Preprocessor`], the serving engine, the CLI); the scalar
+/// gather remains as the reference implementation and identity-check
+/// oracle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Kernel {
+    /// The per-pixel reference gather ([`crate::VoterMatrix::correction`]).
+    Scalar,
+    /// The bit-sliced kernel (default): the series is transposed into
+    /// per-bit-plane `u64` words (64 pixels per word) and cut-off
+    /// estimation, pruning, accumulator combine and window repair all run
+    /// in bit-plane space, with a runtime-dispatched SIMD tier (see
+    /// [`crate::bitslice`]).
+    #[default]
+    Bitsliced,
+}
+
+impl core::fmt::Display for Kernel {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str(match self {
+            Kernel::Scalar => "scalar",
+            Kernel::Bitsliced => "bitsliced",
+        })
+    }
+}
+
+impl core::str::FromStr for Kernel {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "scalar" => Ok(Kernel::Scalar),
+            "bitsliced" => Ok(Kernel::Bitsliced),
+            other => Err(format!(
+                "unknown kernel '{other}' (expected 'scalar' or 'bitsliced')"
+            )),
+        }
+    }
+}
 
 /// Memory layout of the batch buffer handed to
 /// [`SeriesPreprocessor::preprocess_batch_exec`].
@@ -60,7 +102,7 @@ pub trait SeriesPreprocessor<T> {
     /// purely a scheduling choice. The default implementation ignores both
     /// extras (correct for the baselines, which have a single code path);
     /// [`crate::AlgoNgst`] overrides it to dispatch between the scalar
-    /// gather and the plane-sweep kernel.
+    /// gather and the bit-sliced kernel.
     fn preprocess_exec(
         &self,
         series: &mut [T],
@@ -190,5 +232,20 @@ impl<T: Copy, P: PlanePreprocessor<T> + ?Sized> PlanePreprocessor<T> for &P {
     }
     fn preprocess_plane(&self, plane: &mut Image<T>) -> usize {
         (**self).preprocess_plane(plane)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Kernel;
+
+    #[test]
+    fn kernel_round_trips_through_strings() {
+        for k in [Kernel::Scalar, Kernel::Bitsliced] {
+            assert_eq!(k.to_string().parse::<Kernel>().unwrap(), k);
+        }
+        assert!("vector".parse::<Kernel>().is_err());
+        assert!("sweep".parse::<Kernel>().is_err());
+        assert_eq!(Kernel::default(), Kernel::Bitsliced);
     }
 }

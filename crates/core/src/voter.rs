@@ -59,15 +59,8 @@ pub struct VoterScratch<T> {
     /// under repair ([`crate::AlgoNgst`]) or the pre-vote snapshot of the
     /// buffered [`crate::BitVoter`].
     pub(crate) corrections: Vec<T>,
-    /// Pruned φ planes of the sweep kernel: Υ/2 forward planes, row-major,
-    /// one row of `series_len` words per way offset.
-    pub(crate) planes: Vec<T>,
-    /// Sweep combine accumulator: bits set in every plane folded so far.
-    pub(crate) acc_all: Vec<T>,
-    /// Sweep combine accumulator: bits clear in exactly one plane so far.
-    pub(crate) acc_one: Vec<T>,
     /// Bit-sliced kernel: transposed series planes, word-major (`⌈n/64⌉`
-    /// blocks of `Λ` plane words each).
+    /// blocks of one word per active bit plane).
     pub(crate) bit_planes: Vec<u64>,
     /// Bit-sliced kernel: plane-space `all` combine accumulator.
     pub(crate) acc_all_bits: Vec<u64>,
@@ -84,10 +77,6 @@ pub struct VoterScratch<T> {
     pub(crate) voter_builds: u64,
     /// Bit-window derivations performed since the last reset.
     pub(crate) window_derivations: u64,
-    /// Sweep-kernel plane passes performed since the last reset.
-    pub(crate) sweep_plane_passes: u64,
-    /// Sweep-kernel plane combines performed since the last reset.
-    pub(crate) sweep_combines: u64,
     /// Bit-sliced-kernel series transposes performed since the last reset.
     pub(crate) bitslice_transposes: u64,
     /// Bit-sliced-kernel plane combines performed since the last reset.
@@ -101,9 +90,6 @@ impl<T> VoterScratch<T> {
         VoterScratch {
             diffs: Vec::new(),
             corrections: Vec::new(),
-            planes: Vec::new(),
-            acc_all: Vec::new(),
-            acc_one: Vec::new(),
             bit_planes: Vec::new(),
             acc_all_bits: Vec::new(),
             acc_one_bits: Vec::new(),
@@ -111,8 +97,6 @@ impl<T> VoterScratch<T> {
             group_chain: Vec::new(),
             voter_builds: 0,
             window_derivations: 0,
-            sweep_plane_passes: 0,
-            sweep_combines: 0,
             bitslice_transposes: 0,
             bitslice_combines: 0,
         }
@@ -124,8 +108,6 @@ impl<T> VoterScratch<T> {
         VoterScratch {
             diffs: Vec::with_capacity(series_len),
             corrections: Vec::with_capacity(series_len),
-            acc_all: Vec::with_capacity(series_len),
-            acc_one: Vec::with_capacity(series_len),
             ..VoterScratch::new()
         }
     }
@@ -143,17 +125,6 @@ impl<T> VoterScratch<T> {
         self.window_derivations
     }
 
-    /// Sweep-kernel plane passes (one per series per round) performed
-    /// since the last reset.
-    pub fn sweep_plane_passes(&self) -> u64 {
-        self.sweep_plane_passes
-    }
-
-    /// Sweep-kernel plane combines performed since the last reset.
-    pub fn sweep_combines(&self) -> u64 {
-        self.sweep_combines
-    }
-
     /// Bit-sliced-kernel series transposes (one per series per round)
     /// performed since the last reset.
     pub fn bitslice_transposes(&self) -> u64 {
@@ -169,8 +140,6 @@ impl<T> VoterScratch<T> {
     pub fn reset_tallies(&mut self) {
         self.voter_builds = 0;
         self.window_derivations = 0;
-        self.sweep_plane_passes = 0;
-        self.sweep_combines = 0;
         self.bitslice_transposes = 0;
         self.bitslice_combines = 0;
     }

@@ -26,18 +26,15 @@ fn noisy_stack(w: usize, h: usize, frames: usize) -> ImageStack<u16> {
 #[test]
 fn sequential_run_closes_a_golden_span_sequence() {
     // 64×48 at the default 32-tile → a 2×2 grid: exactly 4 tile spans,
-    // all closing before the enclosing "preprocess" span. Each kernel
-    // closes its two stage spans as a pair per unit of work (one voter
-    // round each on this workload): the sweep kernel per series (64·48),
-    // the batched bit-sliced kernel per 64-series group (two 32×32 and two
-    // 32×16 tiles → 16 + 16 + 8 + 8 = 48 groups), and the per-series
-    // bit-sliced entry of the naive driver per series (8·6 = 48).
+    // all closing before the enclosing "preprocess" span. The bit-sliced
+    // kernel closes its two stage spans as a pair per unit of work (one
+    // voter round each on this workload): the batched entry per 64-series
+    // group (two 32×32 and two 32×16 tiles → 16 + 16 + 8 + 8 = 48 groups),
+    // and the per-series entry of the naive driver per series (8·6 = 48).
     const TILED: &[&str] = &["tile", "tile", "tile", "tile", "preprocess"];
     const NAIVE: &[&str] = &["preprocess"];
-    const SWEEP: [&str; 2] = ["sweep.plane_pass", "sweep.combine"];
     const BITSLICE: [&str; 2] = ["bitslice.transpose", "bitslice.combine"];
     let cases = [
-        (Kernel::Sweep, false, (64, 48), TILED, SWEEP, 64 * 48),
         (Kernel::Bitsliced, false, (64, 48), TILED, BITSLICE, 48),
         (Kernel::Bitsliced, true, (8, 6), NAIVE, BITSLICE, 48),
     ];

@@ -66,9 +66,8 @@ pub use preflight_tune as tune;
 /// preprocess → score.
 ///
 /// The execution entry point is [`Preprocessor`]
-/// (`Preprocessor::new(algo).threads(n).observer(&obs).run(&mut stack)`);
-/// the PR 2 free-function drivers are deprecated shims over it and are
-/// intentionally **not** re-exported here.
+/// (`Preprocessor::new(algo).threads(n).observer(&obs).run(&mut stack)`),
+/// the only stack driver.
 ///
 /// [`Preprocessor`]: preflight_core::Preprocessor
 pub mod prelude {

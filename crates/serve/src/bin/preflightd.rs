@@ -3,10 +3,10 @@
 //! ```text
 //! preflightd [--tcp ADDR] [--unix PATH] [--metrics-addr ADDR] [--capacity N]
 //!            [--max-conns N] [--batch-frames N] [--batch-delay-ms N]
-//!            [--threads N] [--workers N] [--shards N]
-//!            [--kernel sweep|scalar|bitsliced] [--auto-tune]
+//!            [--threads N] [--workers N] [--shards N] [--auto-tune]
 //! ```
 //!
+//! Every batch runs the bit-sliced voter kernel; there is no kernel flag.
 //! At least one of `--tcp`/`--unix` is required. The daemon serves until a
 //! wire-level `Drain` arrives or SIGTERM/SIGINT is delivered, then flushes
 //! in-flight batches and exits 0.
@@ -29,7 +29,6 @@ fn print_usage() {
     eprintln!("  --threads N          engine threads per batch (default: cores)");
     eprintln!("  --workers N          concurrent engine workers (default 2)");
     eprintln!("  --shards N           event-loop poll threads (default: min(4, cores))");
-    eprintln!("  --kernel NAME        voter kernel: 'sweep' (default), 'scalar' or 'bitsliced'");
     eprintln!("  --auto-tune          calibrate per-stream \u{39b}/\u{3a5} online from rolling \u{3a6} statistics");
 }
 
@@ -77,11 +76,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--shards" => {
                 config.shards = parse_positive(&value(&mut i, "--shards")?, "--shards")?;
-            }
-            "--kernel" => {
-                config.engine.kernel = value(&mut i, "--kernel")?
-                    .parse()
-                    .map_err(|e| format!("--kernel: {e}"))?;
             }
             "--auto-tune" => config.auto_tune = true,
             "--help" | "-h" => return Err(String::new()),

@@ -26,16 +26,11 @@
 //! # server.drain();
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
-//!
-//! The old entry points ([`crate::server::start`],
-//! [`Client::connect_tcp`], [`Client::connect_unix`]) remain as
-//! `#[deprecated]` shims over the same internals.
 
 use crate::batcher::BatchConfig;
 use crate::client::{Client, ClientError};
 use crate::engine::EngineConfig;
 use crate::server::{ServerConfig, ServerHandle};
-use preflight_core::Kernel;
 use preflight_obs::Obs;
 use preflight_supervisor::RetryPolicy;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -91,16 +86,9 @@ impl ServerBuilder {
         self
     }
 
-    /// Replaces the engine knobs wholesale (threads, kernel, supervision,
-    /// tuners).
+    /// Replaces the engine knobs wholesale (threads, supervision, tuners).
     pub fn engine(mut self, engine: EngineConfig) -> Self {
         self.config.engine = engine;
-        self
-    }
-
-    /// The voter kernel every batch runs with.
-    pub fn kernel(mut self, kernel: Kernel) -> Self {
-        self.config.engine.kernel = kernel;
         self
     }
 

@@ -24,7 +24,7 @@ use crate::telemetry::{RequestStats, ServerStats};
 use crate::wire::{Dtype, ErrorCode, ErrorReply, FramePayload, Message, SubmitResponse};
 use crossbeam::channel;
 use preflight_core::{
-    observe_stack, AlgoNgst, BitPixel, ImageStack, Kernel, NgstConfig, Preprocessor, Sensitivity,
+    observe_stack, AlgoNgst, BitPixel, ImageStack, NgstConfig, Preprocessor, Sensitivity,
     TuneDecision, Tuner, Upsilon, ValuePixel,
 };
 use preflight_obs::Obs;
@@ -38,15 +38,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Engine knobs.
+/// Engine knobs. Every batch runs the default (bit-sliced) voter kernel;
+/// the scalar oracle is for tests and benchmarks, not for serving.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Worker threads handed to the [`Preprocessor`] per batch.
     pub threads: usize,
-    /// Voter kernel handed to the [`Preprocessor`] (all three are
-    /// bit-identical; the sweep kernel is the default, the bit-sliced
-    /// kernel the SIMD-dispatched throughput option).
-    pub kernel: Kernel,
     /// Retry/timeout/degradation policy applied to each batch.
     pub supervision: Supervision,
     /// Per-stream auto-tuning state (`--auto-tune`). `None` — the default —
@@ -59,7 +56,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             threads: preflight_core::available_threads(),
-            kernel: Kernel::default(),
             supervision: Supervision::default(),
             tuners: None,
         }
@@ -366,7 +362,6 @@ fn process_typed<T: PayloadPixel>(
             let result = catch_unwind(AssertUnwindSafe(|| {
                 Preprocessor::new(&stage)
                     .threads(config.threads)
-                    .kernel(config.kernel)
                     .observer(stats.obs())
                     .run(&mut work)
             }));

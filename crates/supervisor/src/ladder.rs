@@ -110,9 +110,9 @@ impl<T: BitPixel + ValuePixel> SeriesPreprocessor<T> for LadderStage {
 
     // The kernel-dispatching and batched entry points must forward to the
     // dynamic algorithm, not inherit the trait defaults: the defaults
-    // ignore the kernel and loop per series, which silently downgraded
-    // every ladder-driven run (the daemon, the pipeline) to the per-series
-    // sweep path no matter which `--kernel` was asked for. The simpler
+    // ignore the kernel and loop per series, which would silently downgrade
+    // every ladder-driven run (the daemon, the pipeline) from the 64-series
+    // group kernel to the per-series entry. The simpler
     // rungs have a single code path each, so for them the default
     // behaviour is reproduced explicitly.
 

@@ -6,7 +6,7 @@
 //!    exercised below, so a rename or removal breaks this test at build
 //!    time.
 //! 2. **Source snapshot**: the prelude block of the facade is checked
-//!    against the curated name list, so an *addition* (or a deprecated
+//!    against the curated name list, so an *addition* (or a retired
 //!    name sneaking back in) fails loudly and forces a deliberate update
 //!    here.
 
@@ -18,8 +18,8 @@ use preflight::prelude::{
 };
 
 /// Names the prelude must export (the execution API) and names it must
-/// never export again (the PR 2 free-function drivers, now deprecated
-/// shims reachable only through `preflight::core`).
+/// never export again (the retired free-function drivers and positional
+/// serving entry points, which the builders replaced).
 const REQUIRED: &[&str] = &[
     "Preprocessor",
     "available_threads",
@@ -36,8 +36,7 @@ const BANNED: &[&str] = &[
     "preprocess_stack_tiled",
     "preprocess_stack_parallel",
     "preprocess_cube_parallel",
-    // PR 9 deprecated the positional serving entry points; the prelude
-    // carries only the builders.
+    // The prelude carries only the serving builders.
     "connect_tcp",
     "connect_unix",
     "server::start",
@@ -51,7 +50,7 @@ fn prelude_drives_the_unified_execution_api() {
     let changed = Preprocessor::new(&algo)
         .threads(available_threads().min(2))
         .tile(4)
-        .kernel(Kernel::Sweep)
+        .kernel(Kernel::Bitsliced)
         .observer(&obs)
         .run(&mut stack);
     assert_eq!(changed, 0, "an all-zero stack has nothing to repair");
@@ -120,8 +119,8 @@ fn prelude_source_matches_the_curated_snapshot() {
     for name in BANNED {
         assert!(
             !prelude.contains(name),
-            "deprecated driver `{name}` must stay out of the prelude \
-             (use `Preprocessor` or reach it via `preflight::core`)"
+            "retired entry point `{name}` must stay out of the prelude \
+             (use `Preprocessor` or the serving builders)"
         );
     }
 }
