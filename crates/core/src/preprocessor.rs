@@ -41,9 +41,9 @@ use crate::pixel::BitPixel;
 use crate::traits::{BatchLayout, Kernel, PlanePreprocessor, SeriesPreprocessor};
 use crate::tuning::{TuneDecision, Tuner};
 use crate::voter::VoterScratch;
-use crossbeam::channel;
 use preflight_obs::Obs;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Default spatial tile side for the blocked series-major transpose.
 ///
@@ -313,9 +313,10 @@ impl<A> Preprocessor<A> {
         changed
     }
 
-    /// Scoped worker pool over the same tiles: workers pull tiles from
-    /// a shared queue, repair them in series-major scratch and hand the
-    /// repaired tiles back; the caller scatters once the pool drains.
+    /// Scoped worker pool over the same tiles: workers claim tiles through
+    /// a shared atomic cursor, repair them in series-major scratch and
+    /// return the repaired tiles through their join handles; the caller
+    /// (itself one of the workers) scatters once every worker has joined.
     fn run_parallel<T>(
         &self,
         stack: &mut ImageStack<T>,
@@ -329,67 +330,40 @@ impl<A> Preprocessor<A> {
     {
         let frames = stack.frames();
         let layout = self.algo.batch_layout(self.kernel);
-        let (job_tx, job_rx) = channel::unbounded::<Tile>();
-        for &t in tiles {
-            job_tx.send(t).expect("job queue cannot disconnect here");
-        }
-        drop(job_tx);
-
-        let (res_tx, res_rx) = channel::unbounded::<(Tile, Vec<T>, usize)>();
-        let mut results: Vec<(Tile, Vec<T>, usize)> = Vec::with_capacity(tiles.len());
+        // Relaxed: the cursor only hands out indices; the repaired tiles
+        // reach the caller through the joins.
+        let cursor = AtomicUsize::new(0);
         let shared: &ImageStack<T> = stack;
-        let algo = &self.algo;
-        let obs = &self.obs;
-        let kernel = self.kernel;
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let job_rx = job_rx.clone();
-                let res_tx = res_tx.clone();
-                s.spawn(move || {
-                    let mut scratch = VoterScratch::with_capacity(frames);
-                    while let Ok(tile) = job_rx.recv() {
-                        let span = obs.span("tile");
-                        let mut buf = Vec::new();
-                        match layout {
-                            BatchLayout::SeriesMajor => shared
-                                .gather_tile_series(tile.tx, tile.ty, tile.tw, tile.th, &mut buf),
-                            BatchLayout::TimeMajor => shared.gather_tile_time_major(
-                                tile.tx, tile.ty, tile.tw, tile.th, &mut buf,
-                            ),
-                        }
-                        let changed = algo.preprocess_batch_tuned(
-                            &mut buf,
-                            frames,
-                            &mut scratch,
-                            kernel,
-                            obs,
-                            decision.as_ref(),
-                        );
-                        drop(span);
-                        if res_tx.send((tile, buf, changed)).is_err() {
-                            break;
-                        }
+        let results = fan_out(workers, || {
+            let mut scratch = VoterScratch::with_capacity(frames);
+            let mut done: Vec<(Tile, Vec<T>, usize)> = Vec::new();
+            while let Some(&tile) = tiles.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                let _span = self.obs.span("tile");
+                let mut buf = Vec::new();
+                match layout {
+                    BatchLayout::SeriesMajor => {
+                        shared.gather_tile_series(tile.tx, tile.ty, tile.tw, tile.th, &mut buf)
                     }
-                    if obs.is_enabled() {
-                        obs.counter("preprocess_voter_builds_total", None)
-                            .add(scratch.voter_builds());
-                        obs.counter("preprocess_window_derivations_total", None)
-                            .add(scratch.window_derivations());
-                        obs.counter("preprocess_bitslice_transposes_total", None)
-                            .add(scratch.bitslice_transposes());
-                        obs.counter("preprocess_bitslice_combines_total", None)
-                            .add(scratch.bitslice_combines());
+                    BatchLayout::TimeMajor => {
+                        shared.gather_tile_time_major(tile.tx, tile.ty, tile.tw, tile.th, &mut buf)
                     }
-                });
+                }
+                let changed = self.algo.preprocess_batch_tuned(
+                    &mut buf,
+                    frames,
+                    &mut scratch,
+                    self.kernel,
+                    &self.obs,
+                    decision.as_ref(),
+                );
+                done.push((tile, buf, changed));
             }
-            drop(res_tx);
-            while let Ok(r) = res_rx.recv() {
-                results.push(r);
-            }
+            self.flush_scratch_tallies(&mut scratch);
+            done
         });
 
         let mut total = 0;
-        for (tile, buf, changed) in results {
+        for (tile, buf, changed) in results.into_iter().flatten() {
             match layout {
                 BatchLayout::SeriesMajor => {
                     stack.scatter_tile_series(tile.tx, tile.ty, tile.tw, tile.th, &buf)
@@ -404,9 +378,9 @@ impl<A> Preprocessor<A> {
             self.obs
                 .counter("preprocess_tiles_total", None)
                 .add(tiles.len() as u64);
-            // Workers actually spawned (the single-thread case never
-            // reaches this path — it falls through to the tiled driver, so
-            // `--threads 1` pays no pool overhead).
+            // Workers in the pool, the caller included (the single-thread
+            // case never reaches this path — it falls through to the tiled
+            // driver, so `--threads 1` pays no pool overhead).
             self.obs
                 .counter("preprocess_pool_workers_total", None)
                 .add(workers as u64);
@@ -487,44 +461,30 @@ impl<A> Preprocessor<A> {
             }
             total
         } else {
-            let (job_tx, job_rx) = channel::unbounded::<&mut [T]>();
-            for plane in cube.as_mut_slice().chunks_mut(plane_len) {
-                job_tx
-                    .send(plane)
-                    .expect("job queue cannot disconnect here");
-            }
-            drop(job_tx);
-
-            let (res_tx, res_rx) = channel::unbounded::<usize>();
-            let mut total = 0;
-            let algo = &self.algo;
-            let obs = &self.obs;
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    let job_rx = job_rx.clone();
-                    let res_tx = res_tx.clone();
-                    s.spawn(move || {
-                        while let Ok(plane) = job_rx.recv() {
-                            let span = obs.span("plane");
-                            let mut img = Image::from_vec(width, height, plane.to_vec())
-                                .expect("plane slice has exact dimensions");
-                            let n = algo.preprocess_plane(&mut img);
-                            if n > 0 {
-                                plane.copy_from_slice(img.as_slice());
-                            }
-                            drop(span);
-                            if res_tx.send(n).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-                drop(res_tx);
-                while let Ok(n) = res_rx.recv() {
+            // Each plane is claimed exactly once through the cursor, so its
+            // lock is only ever taken by the worker that owns it.
+            let planes: Vec<Mutex<&mut [T]>> = cube
+                .as_mut_slice()
+                .chunks_mut(plane_len)
+                .map(Mutex::new)
+                .collect();
+            let cursor = AtomicUsize::new(0);
+            let counts = fan_out(workers, || {
+                let mut total = 0;
+                while let Some(plane) = planes.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                    let _span = self.obs.span("plane");
+                    let mut plane = plane.lock().expect("plane claimed once");
+                    let mut img = Image::from_vec(width, height, plane.to_vec())
+                        .expect("plane slice has exact dimensions");
+                    let n = self.algo.preprocess_plane(&mut img);
+                    if n > 0 {
+                        plane.copy_from_slice(img.as_slice());
+                    }
                     total += n;
                 }
+                total
             });
-            total
+            counts.into_iter().sum()
         };
         if self.obs.is_enabled() {
             self.obs.counter("preprocess_runs_total", None).inc();
@@ -537,6 +497,30 @@ impl<A> Preprocessor<A> {
         }
         total
     }
+}
+
+/// Runs `worker` on `workers` threads: the caller plus `workers − 1`
+/// scoped spawns. Returns every worker's result once all have joined. A
+/// panic in any worker propagates to the caller with its original payload
+/// after the other workers finish, so callers that `catch_unwind` see the
+/// algorithm's own message.
+fn fan_out<R, F>(workers: usize, worker: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn() -> R + Sync,
+{
+    std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..workers).map(|_| s.spawn(&worker)).collect();
+        let mut results = Vec::with_capacity(workers);
+        results.push(worker());
+        for handle in spawned {
+            match handle.join() {
+                Ok(r) => results.push(r),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        results
+    })
 }
 
 #[cfg(test)]
@@ -744,6 +728,63 @@ mod tests {
                 .unwrap_or(0)
                 > 0
         );
+    }
+
+    const MARKER: u16 = 0xDEAD;
+
+    /// Meets the other worker at a barrier on each tile's marker series,
+    /// so each of the two workers holds one tile, then panics on the
+    /// chosen side: the calling thread or the spawned one.
+    struct PanicsOnOneSide {
+        rendezvous: std::sync::Barrier,
+        caller: std::thread::ThreadId,
+        panic_on_caller: bool,
+    }
+
+    impl SeriesPreprocessor<u16> for PanicsOnOneSide {
+        fn name(&self) -> &'static str {
+            "panics-on-one-side"
+        }
+
+        fn preprocess(&self, series: &mut [u16]) -> usize {
+            if series.first() == Some(&MARKER) {
+                self.rendezvous.wait();
+                let on_caller = std::thread::current().id() == self.caller;
+                assert!(on_caller != self.panic_on_caller, "poisoned tile");
+            }
+            0
+        }
+    }
+
+    #[test]
+    fn a_panicking_tile_propagates_out_of_a_parallel_run() {
+        // The serving engine turns a panic inside `run` into a supervised
+        // crash (`catch_unwind`), so a worker's panic must reach the caller
+        // with its own payload, on either side of the pool, instead of
+        // hanging or being swallowed.
+        for panic_on_caller in [true, false] {
+            let mut st: ImageStack<u16> = ImageStack::new(16, 8, 4);
+            st.set(0, 0, 0, MARKER);
+            st.set(8, 0, 0, MARKER);
+            let algo = PanicsOnOneSide {
+                rendezvous: std::sync::Barrier::new(2),
+                caller: std::thread::current().id(),
+                panic_on_caller,
+            };
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Preprocessor::new(&algo).threads(2).tile(8).run(&mut st)
+            }));
+            let payload = caught.expect_err("the poisoned tile must panic the run");
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            assert_eq!(
+                message,
+                Some("poisoned tile"),
+                "caller side: {panic_on_caller}"
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! - [`crreject`] — two-point-difference jump detection plus slope
 //!   estimation, the standard published approach for NGST cosmic-ray
 //!   rejection (Fixsen et al. 2000, the paper's ref. \[12\]);
-//! - [`pipeline`] — the master/slave tile pipeline over crossbeam channels,
+//! - [`pipeline`] — the master/slave tile pipeline over std `mpsc` channels,
 //!   with optional bit-flip injection "in transit" and optional input
 //!   preprocessing on the slave side — the integration point where the
 //!   paper's contribution plugs into the host application. Runs can be

@@ -9,7 +9,7 @@
 //! before downlink.
 //!
 //! The reproduction keeps the structure — work queue, 16 workers, tile
-//! routing, reassembly, compression — with threads and crossbeam channels
+//! routing, reassembly, compression — with threads and std `mpsc` channels
 //! standing in for cluster nodes, and with an optional fault injector
 //! corrupting tile payloads "in transit" (§2.2.2's transit fault class).
 //!
@@ -35,6 +35,7 @@ use preflight_supervisor::{
 };
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The stage name tiles are supervised under (appears in recovery events).
@@ -606,17 +607,24 @@ impl NgstPipeline {
             }
         }
 
-        let (job_tx, job_rx) = crossbeam::channel::unbounded::<TileJob>();
-        let (res_tx, res_rx) = crossbeam::channel::unbounded::<WorkerMsg>();
+        let (job_tx, job_rx) = mpsc::channel::<TileJob>();
+        // One shared queue (the supervised master requeues into it): the
+        // worker holding the lock parks in `recv` until a job arrives.
+        let job_rx = Arc::new(Mutex::new(job_rx));
+        let (res_tx, res_rx) = mpsc::channel::<WorkerMsg>();
         let transit = self.transit;
 
         let (accum, levels, log, abandoned) = std::thread::scope(|scope| {
             for worker in 0..c.workers {
-                let job_rx = job_rx.clone();
+                let job_rx = Arc::clone(&job_rx);
                 let res_tx = res_tx.clone();
                 scope.spawn(move || {
                     let rejector = CrRejector::new();
-                    while let Ok(mut job) = job_rx.recv() {
+                    loop {
+                        // Its own statement, so the guard drops before
+                        // the tile runs.
+                        let next = job_rx.lock().expect("job queue lock").recv();
+                        let Ok(mut job) = next else { break };
                         let outcome = chaos
                             .map(|m| m.roll(job.unit, job.attempt))
                             .unwrap_or(ChaosOutcome::Healthy);
@@ -733,8 +741,8 @@ impl NgstPipeline {
         stack: &ImageStack<u16>,
         tiles: &[TileRef],
         ladder: &DegradationLadder,
-        job_tx: crossbeam::channel::Sender<TileJob>,
-        res_rx: crossbeam::channel::Receiver<WorkerMsg>,
+        job_tx: mpsc::Sender<TileJob>,
+        res_rx: mpsc::Receiver<WorkerMsg>,
     ) -> MasterOutcome {
         let c = self.config;
         let entry = ladder.entry_level();
@@ -775,8 +783,8 @@ impl NgstPipeline {
         tiles: &[TileRef],
         sup: &Supervision,
         ladder: &DegradationLadder,
-        job_tx: crossbeam::channel::Sender<TileJob>,
-        res_rx: crossbeam::channel::Receiver<WorkerMsg>,
+        job_tx: mpsc::Sender<TileJob>,
+        res_rx: mpsc::Receiver<WorkerMsg>,
     ) -> MasterOutcome {
         let c = self.config;
         let timeout = sup.policy.stage_timeout;
@@ -903,8 +911,8 @@ impl NgstPipeline {
                         st.on_failure(unit, FailureKind::Crash)?;
                     }
                 }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
                     return Err(PipelineError::Disconnected);
                 }
             }

@@ -28,6 +28,8 @@ use crate::telemetry::RouterStats;
 use preflight_obs::Obs;
 use preflight_serve::client::{Client, ClientError, SubmitOptions};
 use preflight_serve::metrics::run_metrics_listener;
+#[cfg(unix)]
+use preflight_serve::poll::{waker, Event, Interest, Poller, WakeReader, Waker};
 use preflight_serve::queue::{AdmissionGate, AdmissionPermit};
 use preflight_serve::wire::{
     parse_body, parse_head, write_message, BusyReply, DrainSummary, ErrorCode, ErrorReply, Message,
@@ -49,8 +51,10 @@ use std::time::{Duration, Instant};
 /// How long a reader sleeps per poll while its socket is idle.
 const READ_POLL: Duration = Duration::from_millis(100);
 
-/// How long acceptors sleep between failed non-blocking accepts.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
+/// How long an acceptor backs off after an accept error other than
+/// `WouldBlock` (e.g. descriptor exhaustion, which leaves the listener
+/// readable), and the step of the health prober's shutdown sleep.
+const RETRY_STEP: Duration = Duration::from_millis(20);
 
 /// Ceiling on waiting for in-flight work during a drain.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
@@ -134,9 +138,21 @@ struct Shared {
     draining: AtomicBool,
     stopped: AtomicBool,
     drain_acked: AtomicBool,
+    /// Interrupts every acceptor's poll wait (filled as acceptors start).
+    #[cfg(unix)]
+    wake: Mutex<Vec<Waker>>,
 }
 
 impl Shared {
+    /// Stops admitting connections and work: the acceptors wake and exit.
+    fn begin_drain(&self) {
+        self.draining.store(true, Ordering::SeqCst);
+        #[cfg(unix)]
+        for waker in self.wake.lock().expect("acceptor wakers poisoned").iter() {
+            waker.wake();
+        }
+    }
+
     fn summary(&self) -> DrainSummary {
         DrainSummary {
             completed: self.stats.completed.get(),
@@ -204,7 +220,7 @@ impl RouterHandle {
     /// for in-flight forwards, stop and join every thread. Backends are
     /// *not* drained — other routers may share them. Idempotent.
     pub fn drain(&self) -> DrainSummary {
-        self.shared.draining.store(true, Ordering::SeqCst);
+        self.shared.begin_drain();
         if !self.shared.gate.wait_idle(DRAIN_TIMEOUT) {
             eprintln!(
                 "preflight-router: drain timed out after {DRAIN_TIMEOUT:?} with {} request(s) \
@@ -265,6 +281,8 @@ pub fn start(config: RouterConfig) -> std::io::Result<RouterHandle> {
         draining: AtomicBool::new(false),
         stopped: AtomicBool::new(false),
         drain_acked: AtomicBool::new(false),
+        #[cfg(unix)]
+        wake: Mutex::new(Vec::new()),
     });
 
     let mut threads = Vec::new();
@@ -284,11 +302,12 @@ pub fn start(config: RouterConfig) -> std::io::Result<RouterHandle> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         tcp_addr = Some(listener.local_addr()?);
+        let wait = AcceptWait::new(&listener, &shared)?;
         let shared = Arc::clone(&shared);
         threads.push(
             std::thread::Builder::new()
                 .name("router-accept-tcp".into())
-                .spawn(move || accept_tcp(listener, shared))?,
+                .spawn(move || accept_loop(listener, wait, shared, accept_tcp))?,
         );
     }
 
@@ -299,11 +318,12 @@ pub fn start(config: RouterConfig) -> std::io::Result<RouterHandle> {
         let listener = std::os::unix::net::UnixListener::bind(path)?;
         listener.set_nonblocking(true)?;
         unix_path = Some(path.clone());
+        let wait = AcceptWait::new(&listener, &shared)?;
         let shared = Arc::clone(&shared);
         threads.push(
             std::thread::Builder::new()
                 .name("router-accept-unix".into())
-                .spawn(move || accept_unix(listener, shared))?,
+                .spawn(move || accept_loop(listener, wait, shared, accept_unix))?,
         );
     }
     #[cfg(not(unix))]
@@ -374,53 +394,105 @@ fn run_health_prober(shared: Arc<Shared>, period: Duration) {
             if shared.stopped.load(Ordering::SeqCst) {
                 return;
             }
-            std::thread::sleep(ACCEPT_POLL.min(period));
+            std::thread::sleep(RETRY_STEP.min(period));
         }
     }
 }
 
-fn accept_tcp(listener: TcpListener, shared: Arc<Shared>) {
-    while !shared.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(Some(READ_POLL));
-                let permit = match shared.conn_gate.try_acquire() {
-                    Some(p) => p,
-                    None => {
-                        reject_connection(stream, &shared);
-                        continue;
-                    }
-                };
-                spawn_connection(stream, permit, Arc::clone(&shared));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
+/// Parks an acceptor between accepts: a poller watching its listener plus
+/// a waker that [`Shared::begin_drain`] fires, so a connection is taken as
+/// soon as it arrives and a drain never waits out a poll period.
+#[cfg(unix)]
+struct AcceptWait {
+    poller: Poller,
+    _wake: WakeReader,
+    events: Vec<Event>,
 }
 
 #[cfg(unix)]
-fn accept_unix(listener: std::os::unix::net::UnixListener, shared: Arc<Shared>) {
+impl AcceptWait {
+    fn new(listener: &impl std::os::fd::AsRawFd, shared: &Shared) -> std::io::Result<Self> {
+        let poller = Poller::new()?;
+        let (waker, wake) = waker()?;
+        poller.add(listener.as_raw_fd(), 0, Interest::Read)?;
+        poller.add(wake.raw_fd(), 1, Interest::Read)?;
+        shared
+            .wake
+            .lock()
+            .expect("acceptor wakers poisoned")
+            .push(waker);
+        Ok(AcceptWait {
+            poller,
+            _wake: wake,
+            events: Vec::new(),
+        })
+    }
+
+    /// Blocks until the listener is readable, the router drains, or
+    /// `timeout` elapses.
+    fn park(&mut self, timeout: Option<Duration>) {
+        let _ = self.poller.wait(&mut self.events, timeout);
+    }
+}
+
+/// Without epoll or kqueue the acceptor falls back to stepped sleeps.
+#[cfg(not(unix))]
+struct AcceptWait;
+
+#[cfg(not(unix))]
+impl AcceptWait {
+    fn new<L>(_listener: &L, _shared: &Shared) -> std::io::Result<Self> {
+        Ok(AcceptWait)
+    }
+
+    fn park(&mut self, timeout: Option<Duration>) {
+        std::thread::sleep(timeout.unwrap_or(RETRY_STEP));
+    }
+}
+
+/// Accepts connections until the router drains, parking in `wait` whenever
+/// the non-blocking listener has nothing pending.
+fn accept_loop<L, S>(
+    listener: L,
+    mut wait: AcceptWait,
+    shared: Arc<Shared>,
+    accept: fn(&L) -> std::io::Result<S>,
+) where
+    S: Read + Write + Send + 'static,
+{
     while !shared.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(READ_POLL));
-                let permit = match shared.conn_gate.try_acquire() {
-                    Some(p) => p,
-                    None => {
-                        reject_connection(stream, &shared);
-                        continue;
-                    }
-                };
-                spawn_connection(stream, permit, Arc::clone(&shared));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+        match accept(&listener) {
+            Ok(stream) => match shared.conn_gate.try_acquire() {
+                Some(permit) => spawn_connection(stream, permit, Arc::clone(&shared)),
+                None => reject_connection(stream, &shared),
+            },
+            Err(e) if e.kind() == ErrorKind::WouldBlock => wait.park(None),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => wait.park(Some(RETRY_STEP)),
         }
     }
+}
+
+/// Takes one pending TCP connection and readies it for a blocking
+/// connection thread.
+fn accept_tcp(listener: &TcpListener) -> std::io::Result<std::net::TcpStream> {
+    let (stream, _peer) = listener.accept()?;
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(READ_POLL));
+    Ok(stream)
+}
+
+/// Takes one pending Unix-socket connection and readies it for a blocking
+/// connection thread.
+#[cfg(unix)]
+fn accept_unix(
+    listener: &std::os::unix::net::UnixListener,
+) -> std::io::Result<std::os::unix::net::UnixStream> {
+    let (stream, _peer) = listener.accept()?;
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.set_read_timeout(Some(READ_POLL));
+    Ok(stream)
 }
 
 /// Answers an over-cap connection with `Busy` (best effort) and closes it.
@@ -854,7 +926,7 @@ where
             Message::Ping(token) => Message::Pong(token),
             Message::StatsRequest => Message::StatsReply(shared.stats.snapshot()),
             Message::Drain => {
-                shared.draining.store(true, Ordering::SeqCst);
+                shared.begin_drain();
                 if !shared.gate.wait_idle(DRAIN_TIMEOUT) {
                     eprintln!(
                         "preflight-router: drain timed out after {DRAIN_TIMEOUT:?} with {} \

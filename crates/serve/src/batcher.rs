@@ -21,9 +21,9 @@
 use crate::queue::{AdmissionGate, AdmissionPermit};
 use crate::reply::ReplySink;
 use crate::wire::{Dtype, SubmitRequest};
-use crossbeam::channel;
 use preflight_obs::Histogram;
 use std::collections::HashMap;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Batching knobs.
@@ -154,8 +154,8 @@ struct Group {
 /// `batch_hist` receives each group's formation time (open to flush) —
 /// the `batch` stage of the serve pipeline.
 pub fn run_batcher(
-    rx: channel::Receiver<BatcherCmd>,
-    engine_tx: channel::Sender<BatchJob>,
+    rx: mpsc::Receiver<BatcherCmd>,
+    engine_tx: mpsc::Sender<BatchJob>,
     gate: AdmissionGate,
     config: BatchConfig,
     batch_hist: Histogram,
@@ -198,7 +198,7 @@ pub fn run_batcher(
                 flush_all(&mut groups, &engine_tx, &batch_hist);
                 return;
             }
-            Err(channel::RecvTimeoutError::Timeout) => {
+            Err(mpsc::RecvTimeoutError::Timeout) => {
                 let due: Vec<GroupKey> = groups
                     .iter()
                     .filter(|(_, g)| g.opened_at.elapsed() >= config.max_delay)
@@ -208,7 +208,7 @@ pub fn run_batcher(
                     flush(&mut groups, key, &engine_tx, &batch_hist);
                 }
             }
-            Err(channel::RecvTimeoutError::Disconnected) => {
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
                 flush_all(&mut groups, &engine_tx, &batch_hist);
                 return;
             }
@@ -219,7 +219,7 @@ pub fn run_batcher(
 fn flush(
     groups: &mut HashMap<GroupKey, Group>,
     key: GroupKey,
-    engine_tx: &channel::Sender<BatchJob>,
+    engine_tx: &mpsc::Sender<BatchJob>,
     batch_hist: &Histogram,
 ) {
     if let Some(group) = groups.remove(&key) {
@@ -237,7 +237,7 @@ fn flush(
 
 fn flush_all(
     groups: &mut HashMap<GroupKey, Group>,
-    engine_tx: &channel::Sender<BatchJob>,
+    engine_tx: &mpsc::Sender<BatchJob>,
     batch_hist: &Histogram,
 ) {
     let keys: Vec<GroupKey> = groups.keys().copied().collect();
@@ -270,7 +270,7 @@ mod tests {
     fn job(
         gate: &AdmissionGate,
         req: SubmitRequest,
-    ) -> (SubmitJob, channel::Receiver<(u64, crate::wire::Message)>) {
+    ) -> (SubmitJob, mpsc::Receiver<(u64, crate::wire::Message)>) {
         let (sink, rx) = ReplySink::detached();
         (
             SubmitJob {
@@ -287,12 +287,12 @@ mod tests {
         gate: &AdmissionGate,
         config: BatchConfig,
     ) -> (
-        channel::Sender<BatcherCmd>,
-        channel::Receiver<BatchJob>,
+        mpsc::Sender<BatcherCmd>,
+        mpsc::Receiver<BatchJob>,
         std::thread::JoinHandle<()>,
     ) {
-        let (cmd_tx, cmd_rx) = channel::unbounded();
-        let (batch_tx, batch_rx) = channel::unbounded();
+        let (cmd_tx, cmd_rx) = mpsc::channel();
+        let (batch_tx, batch_rx) = mpsc::channel();
         let g = gate.clone();
         let hist = preflight_obs::Obs::disabled().histogram(preflight_obs::STAGE_SECONDS, None);
         let handle = std::thread::spawn(move || run_batcher(cmd_rx, batch_tx, g, config, hist));

@@ -22,7 +22,6 @@ use crate::queue::AdmissionPermit;
 use crate::reply::ReplySink;
 use crate::telemetry::{RequestStats, ServerStats};
 use crate::wire::{Dtype, ErrorCode, ErrorReply, FramePayload, Message, SubmitResponse};
-use crossbeam::channel;
 use preflight_core::{
     observe_stack, AlgoNgst, BitPixel, ImageStack, NgstConfig, Preprocessor, Sensitivity,
     TuneDecision, Tuner, Upsilon, ValuePixel,
@@ -35,7 +34,7 @@ use preflight_tune::{StreamCalibrator, TuneParams};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 /// Engine knobs. Every batch runs the default (bit-sliced) voter kernel;
@@ -104,16 +103,25 @@ impl TunerRegistry {
 static BATCH_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Runs one engine worker: pulls batches until the channel closes.
+/// Every worker shares the one queue: the worker holding the lock parks in
+/// `recv` until a batch arrives, then releases the lock before processing,
+/// so the next idle worker takes its place at the head of the queue.
 /// Buffers for working copies and responses come from (and return to)
 /// `pool`, shared with the ingest side of the event loop.
 pub fn run_engine_worker(
-    rx: channel::Receiver<BatchJob>,
+    rx: Arc<Mutex<mpsc::Receiver<BatchJob>>>,
     config: EngineConfig,
     stats: Arc<ServerStats>,
     pool: Arc<BufferPool>,
 ) {
-    for batch in rx.iter() {
-        process_batch(batch, &config, &stats, &pool);
+    loop {
+        // Its own statement, so the guard drops before the batch runs (a
+        // `while let` scrutinee would hold it through the loop body).
+        let next = rx.lock().expect("engine queue lock").recv();
+        match next {
+            Ok(batch) => process_batch(batch, &config, &stats, &pool),
+            Err(mpsc::RecvError) => return,
+        }
     }
 }
 

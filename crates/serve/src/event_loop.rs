@@ -55,7 +55,6 @@ use crate::wire::{
     encode_message, encode_message_into, parse_head, BusyReply, ErrorCode, ErrorReply,
     FramePayload, Message, HEAD_LEN,
 };
-use crossbeam::channel;
 use preflight_obs::Counter;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -63,7 +62,7 @@ use std::net::TcpListener;
 use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 const TOKEN_WAKER: u64 = 0;
@@ -107,15 +106,15 @@ pub(crate) struct LoopConfig {
     pub pool: Arc<BufferPool>,
     /// This shard's own waker (embedded in [`ReplySink`]s it hands out).
     pub wake: WakeFn,
-    pub reply_tx: channel::Sender<(u64, Message)>,
-    pub reply_rx: channel::Receiver<(u64, Message)>,
+    pub reply_tx: mpsc::Sender<(u64, Message)>,
+    pub reply_rx: mpsc::Receiver<(u64, Message)>,
     pub wake_reader: WakeReader,
     pub poller: Poller,
     /// Accepted Unix connections routed to this shard.
-    pub handoff_rx: channel::Receiver<Handoff>,
+    pub handoff_rx: mpsc::Receiver<Handoff>,
     /// Every shard's handoff lane (sender + waker), indexed by shard; used
     /// by the Unix-listener owner to round-robin accepts.
-    pub handoff: Vec<(channel::Sender<Handoff>, WakeFn)>,
+    pub handoff: Vec<(mpsc::Sender<Handoff>, WakeFn)>,
 }
 
 /// Where the envelope decoder stands.
@@ -565,7 +564,7 @@ fn accept_unix_burst(
     conns: &mut HashMap<u64, Conn>,
     next_token: &mut u64,
     accepts: &Counter,
-    handoff: &[(channel::Sender<Handoff>, WakeFn)],
+    handoff: &[(mpsc::Sender<Handoff>, WakeFn)],
     rr: &mut usize,
     own_shard: usize,
 ) {
@@ -707,7 +706,7 @@ fn handle_readable(
     conn: &mut Conn,
     shared: &Arc<Shared>,
     pool: &Arc<BufferPool>,
-    reply_tx: &channel::Sender<(u64, Message)>,
+    reply_tx: &mpsc::Sender<(u64, Message)>,
     wake: &WakeFn,
     drain: &mut Option<DrainState>,
 ) -> Verdict {
@@ -809,7 +808,7 @@ fn dispatch(
     conn: &mut Conn,
     message: Message,
     shared: &Arc<Shared>,
-    reply_tx: &channel::Sender<(u64, Message)>,
+    reply_tx: &mpsc::Sender<(u64, Message)>,
     wake: &WakeFn,
     drain: &mut Option<DrainState>,
 ) -> Verdict {

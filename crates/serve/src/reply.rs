@@ -9,7 +9,7 @@
 //! token (or drops it if the peer is gone).
 
 use crate::wire::Message;
-use crossbeam::channel;
+use std::sync::mpsc;
 use std::sync::Arc;
 
 /// Shared wake callback — abstract over [`crate::poll::Waker`] so this
@@ -22,14 +22,14 @@ pub type WakeFn = Arc<dyn Fn() + Send + Sync>;
 #[derive(Clone)]
 pub struct ReplySink {
     token: u64,
-    tx: channel::Sender<(u64, Message)>,
+    tx: mpsc::Sender<(u64, Message)>,
     wake: Option<WakeFn>,
 }
 
 impl ReplySink {
     /// A sink that routes to the connection registered under `token`,
     /// waking the loop after each send.
-    pub fn new(token: u64, tx: channel::Sender<(u64, Message)>, wake: Option<WakeFn>) -> Self {
+    pub fn new(token: u64, tx: mpsc::Sender<(u64, Message)>, wake: Option<WakeFn>) -> Self {
         ReplySink { token, tx, wake }
     }
 
@@ -50,8 +50,8 @@ impl ReplySink {
 
     /// A sink wired to a fresh receiver — for tests that want to observe
     /// replies directly instead of running an event loop.
-    pub fn detached() -> (Self, channel::Receiver<(u64, Message)>) {
-        let (tx, rx) = channel::unbounded();
+    pub fn detached() -> (Self, mpsc::Receiver<(u64, Message)>) {
+        let (tx, rx) = mpsc::channel();
         (ReplySink::new(0, tx, None), rx)
     }
 }
@@ -71,7 +71,7 @@ mod tests {
 
     #[test]
     fn send_routes_by_token_and_wakes() {
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = mpsc::channel();
         let wakes = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&wakes);
         let sink = ReplySink::new(

@@ -33,13 +33,12 @@ use crate::queue::AdmissionGate;
 use crate::reply::WakeFn;
 use crate::telemetry::ServerStats;
 use crate::wire::DrainSummary;
-use crossbeam::channel;
 use preflight_obs::Obs;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -139,7 +138,7 @@ pub(crate) struct Shared {
     /// answered with `Busy` and closed.
     pub(crate) conn_gate: AdmissionGate,
     pub(crate) stats: Arc<ServerStats>,
-    pub(crate) batcher_tx: channel::Sender<BatcherCmd>,
+    pub(crate) batcher_tx: mpsc::Sender<BatcherCmd>,
     /// No new work admitted; the loop deregisters its listeners.
     pub(crate) draining: AtomicBool,
     /// Fully drained; the loop closes every connection and exits.
@@ -299,8 +298,9 @@ fn start_impl(config: ServerConfig) -> std::io::Result<ServerHandle> {
         stats.pool_hits.clone(),
         stats.pool_misses.clone(),
     ));
-    let (batcher_tx, batcher_rx) = channel::unbounded();
-    let (engine_tx, engine_rx) = channel::unbounded();
+    let (batcher_tx, batcher_rx) = mpsc::channel();
+    let (engine_tx, engine_rx) = mpsc::channel();
+    let engine_rx = Arc::new(Mutex::new(engine_rx));
 
     let shared = Arc::new(Shared {
         gate: gate.clone(),
@@ -334,7 +334,7 @@ fn start_impl(config: ServerConfig) -> std::io::Result<ServerHandle> {
         engine_config.tuners = Some(TunerRegistry::new());
     }
     for i in 0..config.engine_workers.max(1) {
-        let rx = engine_rx.clone();
+        let rx = Arc::clone(&engine_rx);
         let engine = engine_config.clone();
         let stats = Arc::clone(&stats);
         let pool = Arc::clone(&pool);
@@ -389,15 +389,15 @@ fn start_impl(config: ServerConfig) -> std::io::Result<ServerHandle> {
     // can always interrupt every poll wait) and the full set of Unix
     // handoff lanes (inbox sender + waker per shard) is cloned into every
     // shard before the first accept can happen.
-    let mut lanes: Vec<(channel::Sender<Handoff>, WakeFn)> = Vec::with_capacity(shards);
+    let mut lanes: Vec<(mpsc::Sender<Handoff>, WakeFn)> = Vec::with_capacity(shards);
     let mut shard_parts = Vec::with_capacity(shards);
     for _ in 0..shards {
         let poller = Poller::new()?;
         let (wk, wake_reader) = waker()?;
         let wake: WakeFn = Arc::new(move || wk.wake());
         shared.add_wake(Arc::clone(&wake));
-        let (reply_tx, reply_rx) = channel::unbounded();
-        let (handoff_tx, handoff_rx) = channel::unbounded();
+        let (reply_tx, reply_rx) = mpsc::channel();
+        let (handoff_tx, handoff_rx) = mpsc::channel();
         lanes.push((handoff_tx, Arc::clone(&wake)));
         shard_parts.push((poller, wake_reader, wake, reply_tx, reply_rx, handoff_rx));
     }
